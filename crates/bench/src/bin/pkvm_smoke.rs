@@ -1,6 +1,11 @@
 //! Quick verification run of the pKVM early-allocator target.
+//!
+//! Verifies the POTs named on the command line (every POT when none is
+//! named) with one `Verifier::verify` call, so `TPOT_PATH_JOBS` sets the
+//! path-scheduler worker count and a `TPOT_TRACE` run records a
+//! multi-worker trace.
 
-use tpot_engine::{PotStatus, Verifier};
+use tpot_engine::{PotStatus, Verifier, VerifyOptions};
 
 fn main() {
     let imp = std::fs::read_to_string("targets/pkvm_early_alloc/early_alloc.c").unwrap();
@@ -9,23 +14,21 @@ fn main() {
     let m = tpot_ir::lower(&tpot_cfront::compile(&src).unwrap()).unwrap();
     let v = Verifier::new(m);
     let only: Vec<String> = std::env::args().skip(1).collect();
-    for pot in v.module.pot_names() {
-        if !only.is_empty() && !only.contains(&pot) {
-            continue;
-        }
-        let t0 = std::time::Instant::now();
-        let r = v.verify_pot(&pot);
+    let pots: Vec<String> = v
+        .module
+        .pot_names()
+        .into_iter()
+        .filter(|p| only.is_empty() || only.contains(p))
+        .collect();
+    for r in v.verify(&VerifyOptions::new().pots(pots)) {
         let status = match &r.status {
             PotStatus::Proved => "PROVED".to_string(),
             PotStatus::Failed(vs) => format!("FAILED: {}", vs[0]),
             PotStatus::Error(e) => format!("ERROR: {e}"),
         };
         println!(
-            "{pot}: {status} in {:?} ({} queries, {} paths, {} insts)",
-            t0.elapsed(),
-            r.stats.num_queries,
-            r.stats.paths,
-            r.stats.insts
+            "{}: {status} in {:?} ({} queries, {} paths, {} insts)",
+            r.pot, r.duration, r.stats.num_queries, r.stats.paths, r.stats.insts
         );
     }
 }

@@ -2,9 +2,6 @@
 //! and figure of the paper's evaluation (§5). See DESIGN.md §3 for the
 //! experiment index.
 
-pub mod diff;
-pub mod report;
-
 use std::time::Duration;
 
 /// Formats a duration like the paper's Table 5 (`1m36s`, `49s`, `1h4m`).

@@ -793,6 +793,69 @@ void spec__zero(void) {
         }
     }
 
+    /// Cold, warm, edit-one-function and restart on the pKVM smoke POTs.
+    #[test]
+    fn pkvm_warm_edit_and_restart() {
+        const EDIT_FROM: &str = "return (cur - base) / PAGE_SIZE;";
+        let dir = test_dir("daemon_pkvm_edit");
+        let source = tpot_targets::target("pkvm").unwrap().full_source();
+        assert!(source.contains(EDIT_FROM), "edit anchor missing");
+        // Different TIR, same truth; only `spec__nr_pages` has the edited
+        // function in its cone of influence.
+        let edited = source.replace(EDIT_FROM, "return (cur - base) / PAGE_SIZE + 0;");
+        let req = |src: &str| {
+            VerifyRequest::for_source(src)
+                .with_pots(["spec__nr_pages", "spec__init"])
+                .with_label("pkvm")
+        };
+        let cached = |r: &VerifyResponse| {
+            r.pots
+                .iter()
+                .filter(|p| p.provenance == CacheProvenance::Cached)
+                .count()
+        };
+        let handle = start(DaemonConfig::new().addr("127.0.0.1:0").cache_dir(&dir)).unwrap();
+        let addr = handle.addr_string();
+
+        let t0 = Instant::now();
+        let cold = post_verify(&addr, &req(&source));
+        let cold_s = t0.elapsed().as_secs_f64();
+        assert!(cold.error.is_none(), "{:?}", cold.error);
+        assert!(cold.pots.iter().all(|p| p.status == PotStatusWire::Proved));
+        assert_eq!(cached(&cold), 0, "cold run may not hit the POT table");
+
+        let t0 = Instant::now();
+        let warm = post_verify(&addr, &req(&source));
+        let warm_s = t0.elapsed().as_secs_f64();
+        let share = cached(&warm) as f64 / warm.pots.len() as f64;
+        assert!(
+            share >= 0.9,
+            "warm run served {share:.2} from the POT table"
+        );
+        let speedup = cold_s / warm_s;
+        assert!(
+            speedup >= 10.0,
+            "warm run only {speedup:.1}x faster than cold"
+        );
+
+        let edit = post_verify(&addr, &req(&edited));
+        assert!(edit.pots.iter().all(|p| p.status == PotStatusWire::Proved));
+        assert_eq!(edit.changed_functions, vec!["hyp_early_alloc_nr_pages"]);
+        let by_name: HashMap<_, _> = edit
+            .pots
+            .iter()
+            .map(|p| (p.pot.as_str(), p.provenance))
+            .collect();
+        assert_ne!(by_name["spec__nr_pages"], CacheProvenance::Cached);
+        assert_eq!(by_name["spec__init"], CacheProvenance::Cached);
+        handle.shutdown();
+
+        let handle = start(DaemonConfig::new().addr("127.0.0.1:0").cache_dir(&dir)).unwrap();
+        let restart = post_verify(&handle.addr_string(), &req(&edited));
+        assert_eq!(cached(&restart), 2, "restart serves all from disk");
+        handle.shutdown();
+    }
+
     #[test]
     fn config_digest_partitions_outcomes() {
         let dir = test_dir("daemon_cfg_partition");

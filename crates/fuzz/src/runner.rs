@@ -1,7 +1,8 @@
 //! The fuzzing loop: cycles through the differential/metamorphic modes,
 //! derives an independent RNG stream per `(seed, iteration)`, reduces any
 //! failure to a minimal repro under `fuzz-failures/`, and accumulates the
-//! per-mode statistics reported to `BENCH_PR3.json`.
+//! per-mode statistics reported by `tpot-fuzz run` (and its `--json`
+//! report).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -360,8 +361,8 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Hand-rolled JSON (repo convention: no serde), shared by the CLI and
-/// `bench_pr3`.
+/// Hand-rolled JSON (repo convention: no serde), written by the CLI's
+/// `--json`.
 pub fn report_json(r: &FuzzReport, extra: &[(&str, String)]) -> String {
     let mut j = String::new();
     let _ = writeln!(j, "{{");

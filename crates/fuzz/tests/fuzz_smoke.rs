@@ -1,7 +1,7 @@
 //! Fixed-seed smoke run of the differential fuzzer, wired into tier-1.
 //!
 //! A small deterministic slice of every mode runs on each `cargo test`;
-//! the deep run (`tpot-fuzz run --iters 10000` or `bench_pr3`) covers the
+//! the deep run (`tpot-fuzz run --iters 10000 --json PATH`) covers the
 //! long tail. Iteration count is budgeted for debug builds (~10–20 s).
 
 use tpot_fuzz::{run, Mode, RunConfig};

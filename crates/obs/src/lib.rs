@@ -481,7 +481,8 @@ pub(crate) fn push_event(ev: Event) {
 }
 
 /// Takes (and clears) all collected events — for harnesses that analyze
-/// spans programmatically (bench_pr4's coverage check, unit tests).
+/// spans programmatically (the `harness_invariants` span-coverage check,
+/// unit tests).
 pub fn take_events() -> Vec<Event> {
     std::mem::take(&mut *obs().events.lock().unwrap())
 }

@@ -1,0 +1,387 @@
+//! Cross-mode invariants of the verifier, checked through the public entry
+//! point `Verifier::verify` on the pKVM allocator.
+//!
+//! Every way of running the same POTs must reach the same verdicts, and
+//! those verdicts must match the hand-written table below:
+//!
+//! - one `verify` call vs one `verify_pot` call per POT;
+//! - span collection on vs off; the `solver`/`query` spans must also cover
+//!   ≥ 95% of the solver time the engine's own timers measured;
+//! - incremental solve sessions vs one-shot solving; sessions must hit, and
+//!   re-blast under half the terms one-shot ships;
+//! - SAT inprocessing on vs off, under a 4,000,000-conflict cap; an
+//!   ablation solver-unknown that inprocessing decides is an improvement,
+//!   not a mismatch;
+//! - one path worker vs several, under several steal seeds, with the same
+//!   path counts; a migrated path re-blasts under half its inherited
+//!   prefix;
+//! - with blame on at four workers, the per-POT solver counters sum exactly
+//!   to the process-wide `sat.*` delta, some proved POT names a
+//!   provenance-tagged assumption core, and the path profile is non-empty.
+//!
+//! `pkvm_fast_pots` runs with the tier-1 suite. The wider scopes are
+//! ignored for time:
+//! `cargo test --release --test harness_invariants -- --ignored <name>`.
+
+use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
+
+use tpot::engine::{EngineConfig, PotResult, PotStatus, ProvKind, Stats, Verifier, VerifyOptions};
+use tpot_obs::metrics::counter;
+use tpot_obs::{ObsConfig, Phase};
+
+/// The checks switch the process-global `tpot_obs` config (span
+/// collection, inprocessing, conflict cap, blame) and read process-wide
+/// counters (`sat.*`, `sched.*`). Under the parallel test runner one
+/// test's phases would otherwise run under another's config and inflate
+/// its counter deltas, so every test holds this lock for its whole run.
+static GLOBAL_OBS: Mutex<()> = Mutex::new(());
+
+/// Expected verdict of every POT a test runs, by target name fragment.
+/// `spec__alloc_contig` is the adjudicated expected FAILED: a loop-frame
+/// violation from missing bv2int image linking (DESIGN.md §5.2).
+const EXPECTED: &[(&str, &str, &str)] = &[
+    ("pkvm", "spec__alloc_page", "proved"),
+    ("pkvm", "spec__alloc_contig", "failed"),
+    ("pkvm", "spec__nr_pages", "proved"),
+    ("pkvm", "spec__init", "proved"),
+    ("vigor", "spec__borrow", "proved"),
+    ("vigor", "spec__borrow_picks_free_slot", "proved"),
+    ("vigor", "spec__refresh", "proved"),
+    ("vigor", "spec__return", "proved"),
+    ("vigor", "spec__expire", "proved"),
+    ("page table", "spec__set_pte", "proved"),
+    ("page table", "spec__set_invalid", "proved"),
+    ("page table", "spec__set_prot", "proved"),
+];
+
+/// Per-solve conflict budget of the inprocessing-off phase. Without
+/// inprocessing the `spec__alloc_contig` feasibility query diverges; the
+/// cap, far above what any query the inprocessing solver decides needs,
+/// turns that into a reproducible give-up.
+const ABLATION_CONFLICT_CAP: u64 = 4_000_000;
+
+/// The solver counters attributed per POT, with their registry keys.
+type SatField = (&'static str, fn(&Stats) -> u64);
+const SAT_FIELDS: [SatField; 6] = [
+    ("sat.solves", |s| s.sat_solves),
+    ("sat.conflicts", |s| s.sat_conflicts),
+    ("sat.decisions", |s| s.sat_decisions),
+    ("sat.propagations", |s| s.sat_propagations),
+    ("sat.restarts", |s| s.sat_restarts),
+    ("sat.learned_clauses", |s| s.sat_learned),
+];
+
+/// What one test runs.
+struct Scope {
+    pots: &'static [&'static str],
+    /// Path-worker counts compared against the one-worker baseline, each
+    /// under the default steal seed and every seed in `seeds`.
+    workers: Vec<usize>,
+    seeds: &'static [u64],
+    /// Assert the ≥ 2× inprocessing speed-up. Only `spec__alloc_contig`
+    /// is solver-bound enough to show it.
+    speedup: bool,
+}
+
+/// A failed test poisons the lock but leaves nothing the next test relies
+/// on: every phase installs its own obs config.
+fn exclusive() -> MutexGuard<'static, ()> {
+    GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// `proved`, `failed`, or `error:<message>`.
+fn key(st: &PotStatus) -> String {
+    match st {
+        PotStatus::Proved => "proved".into(),
+        PotStatus::Failed(_) => "failed".into(),
+        PotStatus::Error(e) => format!("error:{e}"),
+    }
+}
+
+fn verdicts(results: &[PotResult]) -> Vec<(String, String)> {
+    results
+        .iter()
+        .map(|r| (r.pot.clone(), key(&r.status)))
+        .collect()
+}
+
+/// Asserts `results` are exactly `pots`, in order, with the table's
+/// verdicts.
+fn expect(target: &str, phase: &str, pots: &[&str], results: &[PotResult]) {
+    let want: Vec<(String, String)> = pots
+        .iter()
+        .map(|&pot| {
+            let (_, _, verdict) = EXPECTED
+                .iter()
+                .find(|(t, p, _)| *t == target && *p == pot)
+                .unwrap_or_else(|| panic!("{target} {pot} has no expected verdict"));
+            (pot.to_string(), verdict.to_string())
+        })
+        .collect();
+    assert_eq!(
+        verdicts(results),
+        want,
+        "{target}: {phase} verdicts differ from the expected table"
+    );
+}
+
+fn assert_same(a: &[PotResult], b: &[PotResult], what: &str) {
+    assert_eq!(verdicts(a), verdicts(b), "{what} changed a verdict");
+}
+
+fn merged(results: &[PotResult]) -> Stats {
+    let mut agg = Stats::default();
+    for r in results {
+        agg.merge(&r.stats);
+    }
+    agg
+}
+
+fn paths(results: &[PotResult]) -> u64 {
+    results.iter().map(|r| r.stats.paths).sum()
+}
+
+/// One `verify_pot` call per POT, and the wall-clock seconds they took.
+fn per_pot(v: &Verifier, pots: &[&str]) -> (Vec<PotResult>, f64) {
+    let t0 = Instant::now();
+    let results = pots.iter().map(|p| v.verify_pot(p)).collect();
+    (results, t0.elapsed().as_secs_f64())
+}
+
+/// Summed durations (µs) of matched `solver`/`query` Begin/End pairs,
+/// paired through a per-thread stack.
+fn solver_span_us(events: &[tpot_obs::Event]) -> u64 {
+    let mut stacks: std::collections::HashMap<u64, Vec<(&str, &str, u64)>> = Default::default();
+    let mut total = 0;
+    for ev in events {
+        match ev.phase {
+            Phase::Begin => stacks
+                .entry(ev.tid)
+                .or_default()
+                .push((ev.cat, &ev.name, ev.ts_us)),
+            Phase::End => {
+                if let Some(("solver", "query", t0)) = stacks.entry(ev.tid).or_default().pop() {
+                    total += ev.ts_us.saturating_sub(t0);
+                }
+            }
+            Phase::Instant => {}
+        }
+    }
+    total
+}
+
+fn check_pkvm(scope: &Scope) {
+    let _lock = exclusive();
+    let module = tpot::targets::target("pkvm").unwrap().module().unwrap();
+    let pots = scope.pots;
+    // Built after each `configure`: the engine config reads the obs config.
+    let verifier = |incremental| {
+        let cfg = EngineConfig {
+            incremental,
+            ..EngineConfig::default()
+        };
+        Verifier::with_config(module.clone(), cfg)
+    };
+    let opts = || VerifyOptions::new().pots(pots.iter().copied());
+
+    // Blame on, four workers: attribution must be exact under real
+    // concurrency, not just at the sequential schedule.
+    tpot_obs::configure(ObsConfig {
+        blame: Some(true),
+        ..ObsConfig::default()
+    });
+    let before = SAT_FIELDS.map(|(k, _)| counter(k).get());
+    let blamed = verifier(true).verify(&opts().jobs(4));
+    expect("pkvm", "blame, jobs=4", pots, &blamed);
+    for ((k, field), before) in SAT_FIELDS.iter().zip(before) {
+        let attributed: u64 = blamed.iter().map(|r| field(&r.stats)).sum();
+        assert_eq!(
+            attributed,
+            counter(k).get() - before,
+            "{k}: per-POT sum vs registry delta at jobs=4"
+        );
+    }
+    assert!(
+        blamed.iter().any(|r| r.status.is_proved()
+            && r.blame
+                .iter()
+                .any(|e| e.core_count > 0 && e.kind != ProvKind::Other)),
+        "no proved POT reported a provenance-tagged assumption core"
+    );
+    let profile_paths: usize = blamed.iter().map(|r| r.profile.iter_sorted().len()).sum();
+    let profile_us: u64 = blamed.iter().map(|r| r.profile.total().solver_us).sum();
+    assert!(
+        profile_paths > 0 && profile_us > 0,
+        "path-tree profile is empty"
+    );
+
+    // Production defaults, spans off: per-POT calls vs one call.
+    tpot_obs::configure(ObsConfig::default());
+    let (base, _) = per_pot(&verifier(true), pots);
+    expect("pkvm", "verify_pot loop", pots, &base);
+    let one_call = verifier(true).verify(&opts());
+    expect("pkvm", "one verify call", pots, &one_call);
+    assert_same(&base, &one_call, "one verify call vs per-POT calls");
+
+    // Spans on, no file sinks. Defaults otherwise, so this is also the
+    // incremental, inprocessing side of the next two comparisons.
+    tpot_obs::configure(ObsConfig {
+        collect_spans: true,
+        ..ObsConfig::default()
+    });
+    tpot_obs::take_events();
+    let (traced, traced_s) = per_pot(&verifier(true), pots);
+    let events = tpot_obs::take_events();
+    expect("pkvm", "traced", pots, &traced);
+    assert_same(&base, &traced, "tracing");
+    let inc = merged(&traced);
+    let measured_us =
+        (inc.simplify_time + inc.pointer_time + inc.branch_time + inc.assertion_time).as_micros();
+    let coverage = solver_span_us(&events) as f64 / measured_us.max(1) as f64;
+    assert!(
+        coverage >= 0.95,
+        "solver spans cover only {:.1}% of measured solver time",
+        100.0 * coverage
+    );
+
+    // Sessions off: every query sliced and solved from scratch.
+    tpot_obs::configure(ObsConfig::default());
+    let (oneshot, _) = per_pot(&verifier(false), pots);
+    assert_same(&traced, &oneshot, "one-shot solving");
+    expect("pkvm", "one-shot", pots, &oneshot);
+    assert!(inc.session_hits > 0, "no path query reused a solve session");
+    let shipped = merged(&oneshot).terms_shipped;
+    let reblast = inc.session_reblasted_terms as f64 / shipped.max(1) as f64;
+    assert!(
+        reblast < 0.5,
+        "sessions re-blasted {} terms vs {shipped} shipped one-shot (ratio {reblast:.3}, need < 0.5)",
+        inc.session_reblasted_terms
+    );
+
+    // Inprocessing off, spans on as in the traced phase so both
+    // wall-clocks carry the same tracing overhead.
+    tpot_obs::configure(ObsConfig {
+        inprocess: Some(false),
+        collect_spans: true,
+        sat_conflict_limit: Some(ABLATION_CONFLICT_CAP),
+        ..ObsConfig::default()
+    });
+    let (ablation, ablation_s) = per_pot(&verifier(true), pots);
+    tpot_obs::take_events();
+    assert_eq!(ablation.len(), traced.len());
+    for (a, b) in ablation.iter().zip(&traced) {
+        let (ka, kb) = (key(&a.status), key(&b.status));
+        let improved =
+            ka.starts_with("error:") && ka.contains("unknown") && !kb.starts_with("error:");
+        assert!(
+            a.pot == b.pot && (ka == kb || improved),
+            "{}: inprocessing changed a decided verdict ({ka} without, {kb} with)",
+            a.pot
+        );
+    }
+    if scope.speedup {
+        let speedup = ablation_s / traced_s;
+        assert!(
+            speedup >= 2.0,
+            "inprocessing speed-up {speedup:.2}x is below 2x \
+             ({ablation_s:.1} s without vs {traced_s:.1} s with)"
+        );
+    }
+
+    // Work stealing: one worker is the depth-first baseline.
+    tpot_obs::configure(ObsConfig::default());
+    let v = verifier(true);
+    let sequential = v.verify(&opts().jobs(1));
+    expect("pkvm", "jobs=1", pots, &sequential);
+    let handoff_keys = [
+        "sched.handoff_reblast_terms",
+        "sched.handoff_baseline_terms",
+        "sched.handoffs_measured",
+    ];
+    let before = handoff_keys.map(|k| counter(k).get());
+    for &jobs in &scope.workers {
+        for seed in std::iter::once(None).chain(scope.seeds.iter().copied().map(Some)) {
+            let label = format!("jobs={jobs} steal seed {seed:?}");
+            let o = opts().jobs(jobs);
+            let r = v.verify(&match seed {
+                Some(sd) => o.steal_seed(sd),
+                None => o,
+            });
+            expect("pkvm", &label, pots, &r);
+            assert_same(&sequential, &r, &label);
+            assert_eq!(
+                paths(&sequential),
+                paths(&r),
+                "{label} changed the path count"
+            );
+        }
+    }
+    let after = handoff_keys.map(|k| counter(k).get());
+    let [reblast, baseline, handoffs]: [u64; 3] = std::array::from_fn(|i| after[i] - before[i]);
+    let ratio = reblast as f64 / baseline.max(1) as f64;
+    assert!(
+        handoffs == 0 || ratio < 0.5,
+        "session handoff re-blasted {reblast} of {baseline} inherited terms \
+         (ratio {ratio:.3}, need < 0.5)"
+    );
+}
+
+/// The POT set every CI smoke check used: sub-second per phase in debug.
+#[test]
+fn pkvm_fast_pots() {
+    check_pkvm(&Scope {
+        pots: &["spec__nr_pages", "spec__init"],
+        workers: vec![2],
+        seeds: &[1],
+        speedup: false,
+    });
+}
+
+/// Adds the appendix-A walkthrough POT; CI runs it in release.
+#[test]
+#[ignore = "several minutes in release: spec__alloc_page dominates every phase"]
+fn pkvm_with_alloc_page() {
+    check_pkvm(&Scope {
+        pots: &["spec__alloc_page", "spec__nr_pages", "spec__init"],
+        workers: vec![2],
+        seeds: &[1],
+        speedup: false,
+    });
+}
+
+/// Every pKVM POT, a wider scheduling sweep, the inprocessing speed-up,
+/// and one-worker vs all-cores parity on Vigor and the KVM page table.
+#[test]
+#[ignore = "over an hour, and one-shot spec__alloc_contig returns solver-unknown \
+            (a known defect), which trips the one-shot parity check first"]
+fn pkvm_full_set() {
+    let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
+    let mut workers = vec![2, 4, cores];
+    workers.sort_unstable();
+    workers.dedup();
+    check_pkvm(&Scope {
+        pots: &[
+            "spec__alloc_page",
+            "spec__alloc_contig",
+            "spec__nr_pages",
+            "spec__init",
+        ],
+        workers,
+        seeds: &[1, 2, 3],
+        speedup: true,
+    });
+
+    let _lock = exclusive();
+    tpot_obs::configure(ObsConfig::default());
+    for target in ["vigor", "page table"] {
+        let v = tpot::targets::target(target).unwrap().verifier().unwrap();
+        let pots = v.module.pot_names();
+        let pots: Vec<&str> = pots.iter().map(String::as_str).collect();
+        let sequential = v.verify(&VerifyOptions::new().jobs(1));
+        expect(target, "jobs=1", &pots, &sequential);
+        let parallel = v.verify(&VerifyOptions::new().jobs(cores));
+        expect(target, "all cores", &pots, &parallel);
+        assert_same(&sequential, &parallel, "parallel verification");
+    }
+}
