@@ -33,5 +33,5 @@ pub mod stats;
 pub use config::SatConfig;
 pub use dimacs::{parse_dimacs, solver_from_dimacs, Dimacs, DimacsError};
 pub use proof::{check_steps, dimacs_lit, parse_drat, CheckStats, ProofLog, ProofStep};
-pub use solver::{Lit, SatResult, Solver, Var};
+pub use solver::{FinalCheck, Lit, SatResult, Solver, Var};
 pub use stats::{SatSink, SolveStats};

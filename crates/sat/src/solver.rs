@@ -66,6 +66,36 @@ pub enum SatResult {
     Unknown,
 }
 
+/// A theory's answer when [`Solver::solve_with`] consults it: at every
+/// propagation fixpoint, and finally on a full propositional assignment
+/// ([`Solver::assignment_is_full`] tells which).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum FinalCheck {
+    /// No theory conflict so far: search goes on, and a full assignment
+    /// answers Sat.
+    Consistent,
+    /// The assignment is theory-inconsistent. The payload is a lemma: a
+    /// theory-valid clause whose literals are all false under the current
+    /// assignment. It is attached permanently and search resumes from its
+    /// highest decision level.
+    Conflict(Vec<Lit>),
+    /// The theory cannot decide (a resource limit): the solve answers
+    /// Unknown.
+    GiveUp,
+}
+
+/// What the search loop does after a theory answer.
+enum TheoryStep {
+    /// Consistent: decide next, or answer Sat on a full assignment.
+    Proceed,
+    /// A unit lemma was enqueued at level 0: propagate it.
+    Repropagate,
+    /// Analyse this (lemma) clause as a conflict.
+    Conflict(u32),
+    /// The solve is over.
+    Done(SatResult),
+}
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Assign {
     Undef,
@@ -189,6 +219,12 @@ pub struct Solver {
     /// Unknown): a subset of that solve's assumptions that already forces
     /// the conflict. Empty when the clause database is unsatisfiable alone.
     last_core: Option<Vec<Lit>>,
+    /// Length of the trail prefix left untouched by backtracking since the
+    /// theory was last consulted in the current solve (see
+    /// [`Solver::stable_trail_len`]).
+    stable_trail: usize,
+    /// See [`Solver::assignment_is_full`].
+    full_assignment: bool,
 }
 
 impl Default for Solver {
@@ -250,6 +286,8 @@ impl Solver {
             tracked: Vec::new(),
             tracked_hits: Vec::new(),
             last_core: None,
+            stable_trail: 0,
+            full_assignment: false,
         }
     }
 
@@ -387,9 +425,10 @@ impl Solver {
     /// Adds a clause. Returns `false` if the solver became trivially
     /// unsatisfiable.
     ///
-    /// May be called between `solve` calls (e.g. for DPLL(T) blocking
-    /// clauses); the solver backtracks to decision level 0 first, so read
-    /// the model *before* adding clauses.
+    /// May be called between `solve` calls (e.g. for scoped assertions);
+    /// the solver backtracks to decision level 0 first, so read the model
+    /// *before* adding clauses. Theory lemmas found during search enter
+    /// through [`Solver::solve_with`] instead, without leaving the search.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
         self.backtrack(0);
         if !self.ok {
@@ -802,6 +841,7 @@ impl Solver {
         self.trail.truncate(lim);
         self.trail_lim.truncate(level as usize);
         self.qhead = self.trail.len();
+        self.stable_trail = self.stable_trail.min(lim);
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -980,6 +1020,29 @@ impl Solver {
     /// the clause set is unsatisfiable together with the assumptions, and
     /// [`Solver::assumption_core`] reports a sufficient subset of them.
     pub fn solve(&mut self, assumptions: &[Lit]) -> SatResult {
+        self.solve_with(assumptions, &mut |_| FinalCheck::Consistent)
+    }
+
+    /// Solves under the given assumptions with a theory in the loop
+    /// (online DPLL(T)).
+    ///
+    /// Whenever propagation reaches a fixpoint with every assumption in
+    /// force, `theory` inspects the assignment — through [`Solver::trail`],
+    /// [`Solver::stable_trail_len`] and [`Solver::assignment_is_full`] —
+    /// and answers with a [`FinalCheck`]; on a full assignment its
+    /// `Consistent` makes the answer Sat. A partial assignment only needs
+    /// a lemma when the theory finds one cheaply; the full one must be
+    /// decided. A [`FinalCheck::Conflict`] lemma is logged as a proof *input*
+    /// (trusted, not RUP-checked), attached as a permanent problem clause,
+    /// and analysed like any propositional conflict: search backjumps from
+    /// the lemma's highest decision level instead of restarting. A lemma
+    /// that is false at level 0 makes the database unsatisfiable for good,
+    /// as any theory-valid clause would.
+    pub fn solve_with(
+        &mut self,
+        assumptions: &[Lit],
+        theory: &mut dyn FnMut(&Solver) -> FinalCheck,
+    ) -> SatResult {
         // Snapshot the per-instance counters so both the process-wide
         // registry and the per-shard attribution sink receive the same
         // exact delta, with zero cost on the inner loops.
@@ -994,7 +1057,7 @@ impl Solver {
         if self.config.inprocess {
             self.maybe_inprocess();
         }
-        let result = self.solve_inner(assumptions);
+        let result = self.solve_inner(assumptions, theory);
         if result == SatResult::Sat {
             self.reconstruct_model();
         }
@@ -1173,12 +1236,105 @@ impl Solver {
         core
     }
 
-    fn solve_inner(&mut self, assumptions: &[Lit]) -> SatResult {
+    /// The current assignment trail, in assignment order. Read by a
+    /// [`Solver::solve_with`] theory to learn which literals hold.
+    pub fn trail(&self) -> &[Lit] {
+        &self.trail
+    }
+
+    /// Length of the trail prefix that no backtrack has touched since the
+    /// theory was last consulted in the current [`Solver::solve_with`]
+    /// call (0 at the first consultation of each call). A theory that
+    /// mirrors the trail keeps what it derived from
+    /// `trail()[..stable_trail_len()]` and redoes the rest.
+    pub fn stable_trail_len(&self) -> usize {
+        self.stable_trail
+    }
+
+    /// Attaches a theory lemma. Returns the
+    /// clause to analyse as a conflict, or `None` after a unit lemma was
+    /// enqueued at level 0 (or a lemma made the database unsatisfiable,
+    /// which leaves `ok` false).
+    fn add_theory_lemma(&mut self, lemma: Vec<Lit>) -> Option<u32> {
+        if let Some(p) = self.proof.as_mut() {
+            p.log_input(&lemma);
+        }
+        self.adds_since_inprocess += 1;
+        let mut lits = lemma;
+        lits.sort_unstable();
+        lits.dedup();
+        debug_assert!(
+            lits.iter().all(|&l| self.value_lit(l) == Assign::False),
+            "theory lemma must be false under the current assignment"
+        );
+        // Highest decision level first, the next highest second: the two
+        // watches, and the order conflict analysis expects.
+        lits.sort_by_key(|l| std::cmp::Reverse(self.level[l.var().0 as usize]));
+        let top = lits.first().map_or(0, |l| self.level[l.var().0 as usize]);
+        if top == 0 {
+            // False at the root: the lemma and the root units propagate to
+            // the empty clause.
+            self.log_add(&[]);
+            self.ok = false;
+            return None;
+        }
+        if lits.len() == 1 {
+            self.backtrack(0);
+            self.unchecked_enqueue(lits[0], None);
+            return None;
+        }
+        self.backtrack(top);
+        Some(self.attach_clause(lits, false, 0))
+    }
+
+    /// Acts on a theory answer: `Proceed` when consistent; otherwise the
+    /// lemma's conflict clause, a re-propagation after a unit lemma, or the
+    /// solve's result.
+    fn take_theory_answer(
+        &mut self,
+        answer: FinalCheck,
+        conflicts_since_restart: &mut u64,
+    ) -> TheoryStep {
+        self.stable_trail = self.trail.len();
+        let lemma = match answer {
+            FinalCheck::Consistent => return TheoryStep::Proceed,
+            FinalCheck::GiveUp => {
+                self.backtrack(0);
+                return TheoryStep::Done(SatResult::Unknown);
+            }
+            FinalCheck::Conflict(lemma) => lemma,
+        };
+        self.conflicts += 1;
+        self.num_conflicts += 1;
+        *conflicts_since_restart += 1;
+        match self.add_theory_lemma(lemma) {
+            Some(ci) => TheoryStep::Conflict(ci),
+            None if self.ok => TheoryStep::Repropagate,
+            None => {
+                self.last_core = Some(Vec::new());
+                TheoryStep::Done(SatResult::Unsat)
+            }
+        }
+    }
+
+    /// Whether the assignment [`Solver::solve_with`]'s theory is looking at
+    /// is full (every variable assigned), or a propagation fixpoint with
+    /// decisions still to make.
+    pub fn assignment_is_full(&self) -> bool {
+        self.full_assignment
+    }
+
+    fn solve_inner(
+        &mut self,
+        assumptions: &[Lit],
+        theory: &mut dyn FnMut(&Solver) -> FinalCheck,
+    ) -> SatResult {
         if !self.ok {
             self.last_core = Some(Vec::new());
             return SatResult::Unsat;
         }
         self.backtrack(0);
+        self.stable_trail = 0;
         let mut restarts: u64 = 0;
         let mut conflicts_since_restart: u64 = 0;
         let mut max_learnts =
@@ -1186,112 +1342,133 @@ impl Solver {
         let start_conflicts = self.conflicts;
 
         loop {
-            if let Some(confl) = self.propagate() {
-                self.conflicts += 1;
-                self.num_conflicts += 1;
-                conflicts_since_restart += 1;
-                if self.trail_lim.is_empty() {
-                    // Conflict with no decisions: the database itself
-                    // propagates to a conflict, so the empty clause is RUP.
-                    self.log_add(&[]);
-                    self.ok = false;
-                    self.last_core = Some(Vec::new());
-                    return SatResult::Unsat;
+            let confl = match self.propagate() {
+                Some(confl) => {
+                    self.conflicts += 1;
+                    self.num_conflicts += 1;
+                    conflicts_since_restart += 1;
+                    confl
                 }
-                let (learnt, bt, lbd) = self.analyze(confl);
-                self.note_participation(&learnt);
-                self.log_add(&learnt);
-                self.backtrack(bt);
-                self.num_learned += 1;
-                if learnt.len() == 1 {
-                    self.unchecked_enqueue(learnt[0], None);
-                } else {
-                    let ci = self.attach_clause(learnt.clone(), true, lbd);
-                    self.bump_clause(ci as usize);
-                    self.unchecked_enqueue(learnt[0], Some(ci));
+                None => {
+                    // No conflict: restart check, assumptions, then decide.
+                    if conflicts_since_restart >= luby(restarts) * self.config.restart_base {
+                        restarts += 1;
+                        self.num_restarts += 1;
+                        conflicts_since_restart = 0;
+                        if tpot_obs::tracing_enabled() {
+                            tpot_obs::instant(
+                                "sat",
+                                "restart",
+                                &[
+                                    ("restarts", restarts.to_string()),
+                                    ("conflicts", self.num_conflicts.to_string()),
+                                    ("learned", self.num_learned.to_string()),
+                                ],
+                            );
+                        }
+                        self.backtrack(0);
+                        continue;
+                    }
+                    // Enforce assumptions as pseudo-decisions.
+                    let mut all_assumed = true;
+                    for &a in assumptions {
+                        match self.value_lit(a) {
+                            Assign::True => {}
+                            Assign::False => {
+                                // A falsified assumption. At this point every
+                                // surviving decision level is headed by an
+                                // assumption (a plain decision would imply
+                                // all assumptions were satisfied when it was
+                                // made and still are, since its level
+                                // survives), so ¬a follows from the database
+                                // and the assumed assumptions in its reason
+                                // cone by unit propagation alone: the clause
+                                // over the negated core is RUP (and a
+                                // fortiori a subset of the negated
+                                // assumptions, as `check_proof` wants).
+                                let core = self.analyze_final(a);
+                                let fin: Vec<Lit> = core.iter().map(|x| x.negate()).collect();
+                                self.log_add(&fin);
+                                self.last_core = Some(core);
+                                self.backtrack(0);
+                                return SatResult::Unsat;
+                            }
+                            Assign::Undef => {
+                                self.trail_lim.push(self.trail.len());
+                                self.unchecked_enqueue(a, None);
+                                all_assumed = false;
+                                break;
+                            }
+                        }
+                    }
+                    if !all_assumed {
+                        continue;
+                    }
+                    // A propagation fixpoint with every assumption in force:
+                    // the theory checks the assignment so far, and has the
+                    // last word on a full one.
+                    let decision = self.pick_branch();
+                    self.full_assignment = decision.is_none();
+                    let answer = theory(self);
+                    let step = self.take_theory_answer(answer, &mut conflicts_since_restart);
+                    if let (Some(l), false) = (decision, matches!(step, TheoryStep::Proceed)) {
+                        self.heap_insert(l.var());
+                    }
+                    match step {
+                        TheoryStep::Proceed => match decision {
+                            Some(l) => {
+                                self.num_decisions += 1;
+                                self.trail_lim.push(self.trail.len());
+                                self.unchecked_enqueue(l, None);
+                                continue;
+                            }
+                            None => return SatResult::Sat,
+                        },
+                        TheoryStep::Repropagate => continue,
+                        TheoryStep::Conflict(ci) => ci,
+                        TheoryStep::Done(result) => return result,
+                    }
                 }
-                self.var_inc /= self.config.var_decay;
-                self.clause_inc /= self.config.clause_decay;
-                if let Some(limit) = self.config.conflict_limit {
-                    if self.conflicts - start_conflicts >= limit {
+            };
+            if self.trail_lim.is_empty() {
+                // Conflict with no decisions: the database itself
+                // propagates to a conflict, so the empty clause is RUP.
+                self.log_add(&[]);
+                self.ok = false;
+                self.last_core = Some(Vec::new());
+                return SatResult::Unsat;
+            }
+            let (learnt, bt, lbd) = self.analyze(confl);
+            self.note_participation(&learnt);
+            self.log_add(&learnt);
+            self.backtrack(bt);
+            self.num_learned += 1;
+            if learnt.len() == 1 {
+                self.unchecked_enqueue(learnt[0], None);
+            } else {
+                let ci = self.attach_clause(learnt.clone(), true, lbd);
+                self.bump_clause(ci as usize);
+                self.unchecked_enqueue(learnt[0], Some(ci));
+            }
+            self.var_inc /= self.config.var_decay;
+            self.clause_inc /= self.config.clause_decay;
+            if let Some(limit) = self.config.conflict_limit {
+                if self.conflicts - start_conflicts >= limit {
+                    self.backtrack(0);
+                    return SatResult::Unknown;
+                }
+            }
+            if self.conflicts.is_multiple_of(64) {
+                if let Some(c) = &self.config.cancel {
+                    if c.load(std::sync::atomic::Ordering::Relaxed) {
                         self.backtrack(0);
                         return SatResult::Unknown;
                     }
                 }
-                if self.conflicts.is_multiple_of(64) {
-                    if let Some(c) = &self.config.cancel {
-                        if c.load(std::sync::atomic::Ordering::Relaxed) {
-                            self.backtrack(0);
-                            return SatResult::Unknown;
-                        }
-                    }
-                }
-                if self.num_learnt as f64 > max_learnts {
-                    self.reduce_db();
-                    max_learnts *= 1.3;
-                }
-            } else {
-                // No conflict: restart check, assumptions, then decide.
-                if conflicts_since_restart >= luby(restarts) * self.config.restart_base {
-                    restarts += 1;
-                    self.num_restarts += 1;
-                    conflicts_since_restart = 0;
-                    if tpot_obs::tracing_enabled() {
-                        tpot_obs::instant(
-                            "sat",
-                            "restart",
-                            &[
-                                ("restarts", restarts.to_string()),
-                                ("conflicts", self.num_conflicts.to_string()),
-                                ("learned", self.num_learned.to_string()),
-                            ],
-                        );
-                    }
-                    self.backtrack(0);
-                    continue;
-                }
-                // Enforce assumptions as pseudo-decisions.
-                let mut all_assumed = true;
-                for &a in assumptions {
-                    match self.value_lit(a) {
-                        Assign::True => {}
-                        Assign::False => {
-                            // A falsified assumption. At this point every
-                            // surviving decision level is headed by an
-                            // assumption (a plain decision would imply all
-                            // assumptions were satisfied when it was made
-                            // and still are, since its level survives), so
-                            // ¬a follows from the database and the assumed
-                            // assumptions in its reason cone by unit
-                            // propagation alone: the clause over the negated
-                            // core is RUP (and a fortiori a subset of the
-                            // negated assumptions, as `check_proof` wants).
-                            let core = self.analyze_final(a);
-                            let fin: Vec<Lit> = core.iter().map(|x| x.negate()).collect();
-                            self.log_add(&fin);
-                            self.last_core = Some(core);
-                            self.backtrack(0);
-                            return SatResult::Unsat;
-                        }
-                        Assign::Undef => {
-                            self.trail_lim.push(self.trail.len());
-                            self.unchecked_enqueue(a, None);
-                            all_assumed = false;
-                            break;
-                        }
-                    }
-                }
-                if !all_assumed {
-                    continue;
-                }
-                match self.pick_branch() {
-                    None => return SatResult::Sat,
-                    Some(l) => {
-                        self.num_decisions += 1;
-                        self.trail_lim.push(self.trail.len());
-                        self.unchecked_enqueue(l, None);
-                    }
-                }
+            }
+            if self.num_learnt as f64 > max_learnts {
+                self.reduce_db();
+                max_learnts *= 1.3;
             }
         }
     }
@@ -1704,6 +1881,182 @@ mod tests {
         let asms = [act, lit(1)];
         assert_eq!(s.solve(&asms), SatResult::Unsat);
         s.check_proof(&asms).expect("proof across inprocessing");
+    }
+
+    fn proof_solver(nvars: usize) -> Solver {
+        let mut s = Solver::new(SatConfig {
+            proof: true,
+            ..SatConfig::default()
+        });
+        for _ in 0..nvars {
+            s.new_var();
+        }
+        s
+    }
+
+    /// True if `l` holds on the solver's trail.
+    fn holds(s: &Solver, l: Lit) -> bool {
+        s.trail().contains(&l)
+    }
+
+    #[test]
+    fn theory_lemma_false_at_root_is_unsat_with_empty_core() {
+        let mut s = proof_solver(2);
+        s.add_clause(&[lit(1)]);
+        let r = s.solve_with(&[], &mut |s| {
+            if holds(s, lit(1)) {
+                FinalCheck::Conflict(vec![lit(-1)])
+            } else {
+                FinalCheck::Consistent
+            }
+        });
+        assert_eq!(r, SatResult::Unsat);
+        assert_eq!(s.assumption_core(), Some(&[][..]));
+        s.check_proof(&[]).expect("lemma input closes the proof");
+    }
+
+    #[test]
+    fn theory_lemma_over_assumption_puts_it_in_the_core() {
+        let mut s = proof_solver(2);
+        s.add_clause(&[lit(1), lit(2)]);
+        let a = lit(2);
+        let r = s.solve_with(&[a], &mut |s| {
+            if holds(s, a) {
+                FinalCheck::Conflict(vec![a.negate()])
+            } else {
+                FinalCheck::Consistent
+            }
+        });
+        assert_eq!(r, SatResult::Unsat);
+        assert_eq!(s.assumption_core(), Some(&[a][..]));
+        s.check_proof(&[a]).expect("assumption-unsat proof");
+        // The lemma is permanent, so without the assumption x1 must hold.
+        assert_eq!(s.solve(&[]), SatResult::Sat);
+        assert!(s.model_value(Var(0)) && !s.model_value(Var(1)));
+    }
+
+    #[test]
+    fn unit_theory_lemmas_resolve() {
+        // (x1 ∨ x2) with a theory that rejects each of them: two unit
+        // lemmas, then the clause itself conflicts at the root.
+        let mut s = proof_solver(2);
+        s.add_clause(&[lit(1), lit(2)]);
+        let mut lemmas = 0;
+        let r = s.solve_with(&[], &mut |s| {
+            for l in [lit(1), lit(2)] {
+                if holds(s, l) {
+                    lemmas += 1;
+                    return FinalCheck::Conflict(vec![l.negate()]);
+                }
+            }
+            FinalCheck::Consistent
+        });
+        assert_eq!(r, SatResult::Unsat);
+        assert_eq!(lemmas, 2);
+        s.check_proof(&[]).expect("unit lemma proof");
+    }
+
+    #[test]
+    fn theory_lemma_with_two_literals_at_its_top_level_resolves() {
+        // x1 → x2, so deciding x1 propagates x2 at the same level. The
+        // theory allows only x1 ∧ ¬x2, which the clause forbids.
+        let mut s = Solver::new(SatConfig {
+            proof: true,
+            default_phase: true,
+            ..SatConfig::default()
+        });
+        for _ in 0..2 {
+            s.new_var();
+        }
+        s.add_clause(&[lit(-1), lit(2)]);
+        let mut same_level_seen = false;
+        let r = s.solve_with(&[], &mut |s| {
+            if !s.assignment_is_full() {
+                return FinalCheck::Consistent;
+            }
+            let (x, y) = (holds(s, lit(1)), holds(s, lit(2)));
+            if x && y {
+                let (lx, ly) = (s.level[0], s.level[1]);
+                same_level_seen |= lx == ly && lx > 0;
+                FinalCheck::Conflict(vec![lit(-1), lit(-2)])
+            } else if !x && y {
+                FinalCheck::Conflict(vec![lit(1), lit(-2)])
+            } else if !x && !y {
+                FinalCheck::Conflict(vec![lit(1), lit(2)])
+            } else {
+                FinalCheck::Consistent
+            }
+        });
+        assert_eq!(r, SatResult::Unsat);
+        assert!(same_level_seen, "x1 and x2 were never at one level");
+        s.check_proof(&[]).expect("two-literal lemma proof");
+    }
+
+    #[test]
+    fn theory_lemma_backjumps_instead_of_restarting() {
+        // Assumption a heads level 1; x1 is decided above it. A lemma over
+        // x1 alone must not undo the assumption level, and the solve ends
+        // Sat with ¬x1 in one call.
+        let mut s = proof_solver(3);
+        let a = lit(3);
+        s.add_clause(&[lit(1), lit(2)]);
+        let r = s.solve_with(&[a], &mut |s| {
+            if holds(s, lit(1)) {
+                FinalCheck::Conflict(vec![lit(-1)])
+            } else {
+                FinalCheck::Consistent
+            }
+        });
+        assert_eq!(r, SatResult::Sat);
+        assert!(!s.model_value(Var(0)) && s.model_value(Var(1)));
+        assert_eq!(s.stats().solves, 1);
+    }
+
+    #[test]
+    fn theory_objects_at_a_propagation_fixpoint() {
+        // Ten variables, x1 → x2, and a theory that forbids x1 ∧ x2.
+        // Deciding x1 first (positive phase) propagates x2, and the
+        // conflict shows up at that fixpoint, long before the assignment
+        // is full.
+        let mut s = Solver::new(SatConfig {
+            proof: true,
+            default_phase: true,
+            ..SatConfig::default()
+        });
+        for _ in 0..10 {
+            s.new_var();
+        }
+        s.add_clause(&[lit(-1), lit(2)]);
+        let mut early = 0;
+        let r = s.solve_with(&[], &mut |s| {
+            if holds(s, lit(1)) && holds(s, lit(2)) {
+                early += usize::from(!s.assignment_is_full());
+                FinalCheck::Conflict(vec![lit(-1), lit(-2)])
+            } else {
+                FinalCheck::Consistent
+            }
+        });
+        assert_eq!(r, SatResult::Sat);
+        assert!(!s.model_value(Var(0)));
+        assert!(early > 0, "the conflict waited for a full assignment");
+    }
+
+    #[test]
+    fn theory_give_up_is_unknown_at_level_zero() {
+        let mut s = proof_solver(2);
+        s.add_clause(&[lit(1), lit(2)]);
+        let r = s.solve_with(&[lit(1)], &mut |_| FinalCheck::GiveUp);
+        assert_eq!(r, SatResult::Unknown);
+        assert!(
+            s.trail_lim.is_empty(),
+            "Unknown leaves the solver at level 0"
+        );
+        assert!(s.assumption_core().is_none());
+        assert_eq!(s.solve(&[lit(-1)]), SatResult::Sat);
+        assert!(s.model_value(Var(1)));
+        assert_eq!(s.solve(&[lit(-1), lit(-2)]), SatResult::Unsat);
+        s.check_proof(&[lit(-1), lit(-2)])
+            .expect("proof after a give-up");
     }
 
     #[test]

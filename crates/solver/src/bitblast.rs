@@ -3,7 +3,7 @@
 //! Every bitvector term becomes a little-endian vector of SAT literals;
 //! boolean terms become single literals via Tseitin encoding. Integer atoms
 //! (`IntLe` after preprocessing) are *not* translated — they become opaque
-//! theory literals collected in [`BitBlaster::atoms`] for the DPLL(T) loop.
+//! theory literals collected in [`BitBlaster::atoms`] for the DPLL(T) theory.
 //!
 //! The circuits are the textbook ones: ripple-carry adders, shift-add
 //! multipliers, restoring dividers, barrel shifters, and borrow-chain
@@ -35,8 +35,8 @@ use crate::linexpr::{extract_linear, LeAtom};
 /// session-handoff situation when a stolen path migrates workers.
 #[derive(Clone)]
 pub struct BitBlaster {
-    /// The underlying SAT solver; the DPLL(T) loop calls `solve` and adds
-    /// blocking clauses directly.
+    /// The underlying SAT solver; sessions call its `solve_with` with the
+    /// LIA theory as the hook.
     pub sat: Solver,
     bv_cache: HashMap<TermId, Vec<Lit>>,
     bool_cache: HashMap<TermId, Lit>,
@@ -614,8 +614,8 @@ impl BitBlaster {
                         if let Some(&l) = self.atom_cache.get(&t) {
                             l
                         } else {
-                            // Theory atoms participate in blocking clauses
-                            // and explanations; they must stay frozen.
+                            // Theory atoms appear in theory lemmas and are
+                            // read off the trail; they must stay frozen.
                             let v = self.sat.new_var();
                             self.sat.freeze(v);
                             let l = Lit::pos(v);

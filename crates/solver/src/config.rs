@@ -18,11 +18,11 @@ pub struct SolverConfig {
     pub sat: SatConfig,
     /// Configuration of the integer-arithmetic engine.
     pub lia: LiaConfig,
-    /// Maximum DPLL(T) iterations (SAT model → theory check round-trips)
-    /// before returning `Unknown`.
+    /// Maximum LIA lemmas per check: a check whose theory needs more
+    /// returns `Unknown`.
     pub max_theory_rounds: u64,
     /// Whether to minimize LIA conflict cores by greedy deletion before
-    /// learning a blocking clause (sharper clauses, more LIA calls).
+    /// learning a theory lemma (sharper lemmas, more LIA calls).
     pub minimize_cores: bool,
 }
 

@@ -56,33 +56,61 @@ impl Default for LiaConfig {
 /// Checks integer feasibility of the conjunction of `atoms`.
 ///
 /// Atom `i`'s tag in conflict cores is its index in the slice. One-shot
-/// wrapper over a fresh [`IncLia`]; sessions keep the `IncLia` alive so the
-/// tableau is extended rather than rebuilt across checks.
+/// wrapper over a fresh [`IncLia`]; sessions keep the `IncLia` alive and
+/// assert and retract atoms as the SAT trail moves.
 pub fn solve_lia(atoms: &[LeAtom], config: &LiaConfig) -> Result<LiaOutcome, SolverError> {
-    IncLia::new().check(atoms, config)
+    let mut lia = IncLia::new();
+    for atom in atoms {
+        let id = lia.register(atom);
+        if let Some(core) = lia.assert_atom(id, true)? {
+            return Ok(LiaOutcome::Unsat(core));
+        }
+    }
+    lia.check(config)
 }
 
-/// Incremental LIA context.
+/// What asserting one polarity of an atom does to the simplex.
+#[derive(Clone, Debug)]
+enum BoundSpec {
+    /// A variable-free atom: nothing to assert, just true or false.
+    Trivial(bool),
+    /// `var ≤ bound`.
+    Upper(usize, Rat),
+    /// `var ≥ bound`.
+    Lower(usize, Rat),
+}
+
+/// Incremental LIA context: one simplex whose bounds follow a stack of
+/// asserted atoms.
 ///
-/// The underlying [`Simplex`] can only ever *tighten* bounds (there is no
-/// retraction), so incrementality lives one level up: the context keeps a
-/// *template* tableau holding one simplex variable per integer term variable
-/// and one slack row per distinct linear form, registered the first time any
-/// check mentions that form. The template itself is never pivoted — bounds
-/// are asserted on a clone per check — so a check is: extend the template
-/// with whatever forms are new (the atom-set delta), clone, assert the
-/// current polarities' bounds, solve. Atoms shared with earlier checks reuse
-/// their registered rows, and an atom and its negation share one row (the
-/// form is sign-canonicalized; the negation becomes a lower bound).
+/// Atoms are *registered* once, which creates the simplex variables of their
+/// term variables and one slack row per distinct linear form (the form is
+/// sign-canonicalized, so an atom and its negation share one row; the
+/// negation becomes a lower bound). They are then *asserted* with a
+/// polarity and retracted in LIFO order ([`IncLia::backtrack`]), mirroring
+/// the SAT trail: retracting restores the bounds but keeps the pivoted
+/// tableau, so the next [`IncLia::check`] starts from the last feasible
+/// basis. An atom's id — its tag in conflict cores — is its registration
+/// index.
 #[derive(Clone)]
 pub struct IncLia {
     var_map: HashMap<TermId, usize>,
-    /// Sign-canonical linear form → slack variable in the template.
+    /// Term variables with their simplex variables, in registration order:
+    /// the variables branch-and-bound keeps integral.
+    int_vars: Vec<(TermId, usize)>,
+    /// Sign-canonical linear form → slack variable.
     row_map: HashMap<Vec<(TermId, i128)>, usize>,
-    template: Simplex,
-    /// Rows added to the template over its lifetime.
+    sx: Simplex,
+    /// Registered atoms, by id.
+    atoms: Vec<LeAtom>,
+    /// Per registered atom, the bound each polarity asserts (`[true,
+    /// false]`); an error is kept until that polarity is asserted.
+    specs: Vec<[Result<BoundSpec, SolverError>; 2]>,
+    /// Asserted atoms, oldest first: `(id, polarity, simplex mark before)`.
+    asserted: Vec<(usize, bool, usize)>,
+    /// Rows added over the context's lifetime.
     pub rows_extended: u64,
-    /// Row lookups served by an already-registered form.
+    /// Registrations served by an already-registered form.
     pub rows_reused: u64,
 }
 
@@ -97,8 +125,12 @@ impl IncLia {
     pub fn new() -> Self {
         IncLia {
             var_map: HashMap::new(),
+            int_vars: Vec::new(),
             row_map: HashMap::new(),
-            template: Simplex::new(),
+            sx: Simplex::new(),
+            atoms: Vec::new(),
+            specs: Vec::new(),
+            asserted: Vec::new(),
             rows_extended: 0,
             rows_reused: 0,
         }
@@ -119,130 +151,242 @@ impl IncLia {
         (items, negated)
     }
 
-    /// Checks integer feasibility of the conjunction of `atoms`, extending
-    /// the template with any new variables/forms first. Atom `i`'s tag in
-    /// conflict cores is its index in the slice.
-    pub fn check(
-        &mut self,
-        atoms: &[LeAtom],
-        config: &LiaConfig,
-    ) -> Result<LiaOutcome, SolverError> {
-        LIA_CALLS.add(1);
-        let _span = tpot_obs::span_args("solver", "lia", &[("atoms", atoms.len().to_string())]);
-        // Phase 1: extend the template with new variables and slack rows.
-        // `live` collects the term variables this check actually constrains;
-        // branch-and-bound only enforces integrality on those (the template
-        // may carry variables only dead atoms from earlier checks mention).
-        let mut live: HashMap<TermId, usize> = HashMap::new();
-        for atom in atoms {
-            for &v in atom.expr.coeffs.keys() {
-                let var_map = &mut self.var_map;
-                let template = &mut self.template;
-                let sv = *var_map.entry(v).or_insert_with(|| template.new_var());
-                live.insert(v, sv);
-            }
-            if atom.expr.coeffs.len() > 1 && atom.as_trivial().is_none() {
-                let (key, _) = Self::canon_key(atom);
-                if let Some(_slack) = self.row_map.get(&key) {
-                    self.rows_reused += 1;
-                    ROWS_REUSED.add(1);
-                } else {
-                    let combo: Vec<(usize, Rat)> = key
-                        .iter()
-                        .map(|&(t, c)| (self.var_map[&t], Rat::int(c)))
-                        .collect();
-                    let slack = self.template.add_row(&combo)?;
-                    self.row_map.insert(key, slack);
-                    self.rows_extended += 1;
-                    ROWS_EXTENDED.add(1);
-                }
+    /// Number of registered atoms (the next atom's id).
+    pub fn num_atoms(&self) -> usize {
+        self.specs.len()
+    }
+
+    /// Number of currently asserted atoms.
+    pub fn num_asserted(&self) -> usize {
+        self.asserted.len()
+    }
+
+    /// Registers `atom`, extending the simplex with any new variables and
+    /// its row, and returns its id. An arithmetic overflow in either
+    /// polarity's bound surfaces when that polarity is asserted.
+    pub fn register(&mut self, atom: &LeAtom) -> usize {
+        for &v in atom.expr.coeffs.keys() {
+            if !self.var_map.contains_key(&v) {
+                let sv = self.sx.new_var();
+                self.var_map.insert(v, sv);
+                self.int_vars.push((v, sv));
             }
         }
-        // Phase 2: assert this check's bounds on a clone of the template.
-        let mut sx = self.template.clone();
-        for (i, atom) in atoms.iter().enumerate() {
-            if let Some(t) = atom.as_trivial() {
-                if !t {
-                    return Ok(LiaOutcome::Unsat(vec![i]));
-                }
+        let pos = self.spec(atom);
+        let neg = atom.negate().and_then(|n| self.spec(&n));
+        self.atoms.push(atom.clone());
+        self.specs.push([pos, neg]);
+        self.specs.len() - 1
+    }
+
+    /// The bound `atom` asserts, registering its row if it is new.
+    fn spec(&mut self, atom: &LeAtom) -> Result<BoundSpec, SolverError> {
+        if let Some(t) = atom.as_trivial() {
+            return Ok(BoundSpec::Trivial(t));
+        }
+        if atom.expr.coeffs.len() == 1 {
+            let (&v, &c) = atom.expr.coeffs.iter().next().unwrap();
+            let sv = self.var_map[&v];
+            let bound = Rat::new(atom.bound, c)?;
+            return Ok(if c > 0 {
+                BoundSpec::Upper(sv, bound)
+            } else {
+                BoundSpec::Lower(sv, bound)
+            });
+        }
+        let (key, negated) = Self::canon_key(atom);
+        let slack = match self.row_map.get(&key) {
+            Some(&slack) => {
+                self.rows_reused += 1;
+                ROWS_REUSED.add(1);
+                slack
+            }
+            None => {
+                let combo: Vec<(usize, Rat)> = key
+                    .iter()
+                    .map(|&(t, c)| (self.var_map[&t], Rat::int(c)))
+                    .collect();
+                let slack = self.sx.add_row(&combo)?;
+                self.row_map.insert(key, slack);
+                self.rows_extended += 1;
+                ROWS_EXTENDED.add(1);
+                slack
+            }
+        };
+        Ok(if negated {
+            // Row holds -expr; expr ≤ b ⇔ row ≥ -b.
+            let b = atom.bound.checked_neg().ok_or(SolverError::Overflow)?;
+            BoundSpec::Lower(slack, Rat::int(b))
+        } else {
+            BoundSpec::Upper(slack, Rat::int(atom.bound))
+        })
+    }
+
+    /// Asserts atom `id` (`polarity = false` asserts its negation). On an
+    /// immediate bound conflict the atom is left unasserted and the
+    /// conflict core (atom ids, `id` among them) is returned.
+    pub fn assert_atom(
+        &mut self,
+        id: usize,
+        polarity: bool,
+    ) -> Result<Option<Vec<usize>>, SolverError> {
+        let spec = self.specs[id][usize::from(!polarity)].clone()?;
+        let mark = self.sx.mark();
+        let conflict = match spec {
+            BoundSpec::Trivial(true) => None,
+            BoundSpec::Trivial(false) => return Ok(Some(vec![id])),
+            BoundSpec::Upper(v, b) => self.sx.assert_upper(v, b, Some(id))?,
+            BoundSpec::Lower(v, b) => self.sx.assert_lower(v, b, Some(id))?,
+        };
+        if let Some(c) = conflict {
+            return Ok(Some(self.core_of(c)));
+        }
+        self.asserted.push((id, polarity, mark));
+        Ok(None)
+    }
+
+    /// Retracts asserted atoms until `n` remain.
+    pub fn backtrack(&mut self, n: usize) {
+        if n < self.asserted.len() {
+            self.sx.pop_to(self.asserted[n].2);
+            self.asserted.truncate(n);
+        }
+    }
+
+    /// Checks integer feasibility of the asserted atoms: the simplex first;
+    /// a vertex that is already integral is the model. Otherwise
+    /// branch-and-bound decides, on a context built afresh for the asserted
+    /// atoms: its course depends on the vertex it starts from, and starting
+    /// from scratch makes the answer a function of the atom set alone, not
+    /// of where this context's assignment has drifted over its history.
+    pub fn check(&mut self, config: &LiaConfig) -> Result<LiaOutcome, SolverError> {
+        LIA_CALLS.add(1);
+        let _span = tpot_obs::span_args(
+            "solver",
+            "lia",
+            &[("atoms", self.asserted.len().to_string())],
+        );
+        if let Some(c) = self.sx.check()? {
+            return Ok(LiaOutcome::Unsat(self.core_of(c)));
+        }
+        if pick_fractional(&self.sx, &self.int_vars, config).is_none() {
+            return Ok(LiaOutcome::Sat(self.model()));
+        }
+        // The asserted atoms in id order — registration order, so the fresh
+        // tableau numbers its variables as a context that saw them in one
+        // batch would.
+        let mut ids: Vec<(usize, bool)> = self.asserted.iter().map(|a| (a.0, a.1)).collect();
+        ids.sort_unstable();
+        let to_ids = |core: Vec<usize>| LiaOutcome::Unsat(core.iter().map(|&k| ids[k].0).collect());
+        let mut fresh = IncLia::new();
+        for &(id, polarity) in &ids {
+            let atom = if polarity {
+                self.atoms[id].clone()
+            } else {
+                self.atoms[id].negate()?
+            };
+            let k = fresh.register(&atom);
+            if let Some(core) = fresh.assert_atom(k, true)? {
+                return Ok(to_ids(core));
+            }
+        }
+        if let Some(c) = fresh.sx.check()? {
+            return Ok(to_ids(fresh.core_of(c)));
+        }
+        Ok(match fresh.branch_and_bound(config)? {
+            LiaOutcome::Unsat(core) => to_ids(core),
+            other => other,
+        })
+    }
+
+    /// Depth-first branch-and-bound from the (feasible) current vertex,
+    /// ceiling branch first. Branch bounds go on the simplex's undo stack,
+    /// so memory stays linear in the depth, and are all retracted before
+    /// returning. They are untagged, so an `Unsat` produced here reports
+    /// every asserted atom as its core (the rational relaxation alone was
+    /// feasible; no smaller certificate is available without cut
+    /// generation).
+    fn branch_and_bound(&mut self, config: &LiaConfig) -> Result<LiaOutcome, SolverError> {
+        let base = self.sx.mark();
+        // Floor branches not yet explored, newest last: (simplex mark of
+        // the node, variable, floor).
+        let mut pending: Vec<(usize, usize, Rat)> = Vec::new();
+        let mut nodes = 0u64;
+        let out = loop {
+            // Here the current node is feasible.
+            nodes += 1;
+            BNB_NODES.add(1);
+            if nodes > config.max_nodes {
+                break LiaOutcome::Unknown;
+            }
+            let Some((v, val)) = pick_fractional(&self.sx, &self.int_vars, config) else {
+                break LiaOutcome::Sat(self.model());
+            };
+            pending.push((self.sx.mark(), v, Rat::int(val.floor())));
+            if self.branch(v, Rat::int(val.ceil()), false)? {
                 continue;
             }
-            let conflict = if atom.expr.coeffs.len() == 1 {
-                let (&v, &c) = atom.expr.coeffs.iter().next().unwrap();
-                let sv = self.var_map[&v];
-                let bound = Rat::new(atom.bound, c)?;
-                if c > 0 {
-                    sx.assert_upper(sv, bound, Some(i))?
-                } else {
-                    sx.assert_lower(sv, bound, Some(i))?
+            let mut exhausted = true;
+            while let Some((mark, v, floor)) = pending.pop() {
+                self.sx.pop_to(mark);
+                if self.branch(v, floor, true)? {
+                    exhausted = false;
+                    break;
                 }
-            } else {
-                let (key, negated) = Self::canon_key(atom);
-                let slack = self.row_map[&key];
-                if negated {
-                    // Row holds -expr; expr ≤ b ⇔ row ≥ -b.
-                    let b = atom.bound.checked_neg().ok_or(SolverError::Overflow)?;
-                    sx.assert_lower(slack, Rat::int(b), Some(i))?
-                } else {
-                    sx.assert_upper(slack, Rat::int(atom.bound), Some(i))?
-                }
-            };
-            if let Some(c) = conflict {
-                return Ok(finish_conflict(c, atoms.len()));
             }
-        }
-        if let Some(c) = sx.check()? {
-            return Ok(finish_conflict(c, atoms.len()));
-        }
-        branch_and_bound(sx, &live, config, atoms.len())
-    }
-}
-
-/// Iterative depth-first branch-and-bound over simplex snapshots.
-///
-/// Branch bounds are untagged, so an `Unsat` produced here reports the full
-/// atom set as its core (the rational relaxation alone was feasible; no
-/// smaller certificate is available without cut generation).
-fn branch_and_bound(
-    sx: Simplex,
-    var_map: &HashMap<TermId, usize>,
-    config: &LiaConfig,
-    n_atoms: usize,
-) -> Result<LiaOutcome, SolverError> {
-    let mut stack: Vec<Simplex> = vec![sx];
-    let mut nodes = 0u64;
-    while let Some(mut s) = stack.pop() {
-        nodes += 1;
-        BNB_NODES.add(1);
-        if nodes > config.max_nodes {
-            return Ok(LiaOutcome::Unknown);
-        }
-        let pick = pick_fractional(&s, var_map, config);
-        let Some((v, val)) = pick else {
-            let mut model = HashMap::new();
-            for (&t, &sv) in var_map {
-                model.insert(t, s.value(sv).as_integer().expect("integral"));
+            if exhausted {
+                break LiaOutcome::Unsat(self.asserted.iter().map(|a| a.0).collect());
             }
-            return Ok(LiaOutcome::Sat(model));
         };
-        let mut lo = s.clone();
-        if lo.assert_upper(v, Rat::int(val.floor()), None)?.is_none() && lo.check()?.is_none() {
-            stack.push(lo);
-        }
-        if s.assert_lower(v, Rat::int(val.ceil()), None)?.is_none() && s.check()?.is_none() {
-            stack.push(s);
+        self.sx.pop_to(base);
+        Ok(out)
+    }
+
+    /// Asserts one branch bound; true if the node stays feasible.
+    fn branch(&mut self, v: usize, bound: Rat, upper: bool) -> Result<bool, SolverError> {
+        let conflict = if upper {
+            self.sx.assert_upper(v, bound, None)?
+        } else {
+            self.sx.assert_lower(v, bound, None)?
+        };
+        Ok(conflict.is_none() && self.sx.check()?.is_none())
+    }
+
+    /// The current vertex as an integer model (every integer variable must
+    /// be integral there).
+    fn model(&self) -> HashMap<TermId, i128> {
+        self.int_vars
+            .iter()
+            .map(|&(t, sv)| (t, self.sx.value(sv).as_integer().expect("integral")))
+            .collect()
+    }
+
+    /// Checks the rational relaxation of the asserted atoms only; returns a
+    /// conflict core if it is infeasible.
+    pub fn check_relaxation(&mut self) -> Result<Option<Vec<usize>>, SolverError> {
+        let _span = tpot_obs::span("solver", "lia");
+        Ok(self.sx.check()?.map(|c| self.core_of(c)))
+    }
+
+    /// Atom ids of a simplex conflict. A conflict an untagged
+    /// (branch-and-bound) bound took part in is explained by every
+    /// asserted atom.
+    fn core_of(&self, c: crate::simplex::Conflict) -> Vec<usize> {
+        if c.tainted {
+            self.asserted.iter().map(|a| a.0).collect()
+        } else {
+            c.tags
         }
     }
-    Ok(LiaOutcome::Unsat((0..n_atoms).collect()))
 }
 
 fn pick_fractional(
     s: &Simplex,
-    var_map: &HashMap<TermId, usize>,
+    int_vars: &[(TermId, usize)],
     config: &LiaConfig,
 ) -> Option<(usize, Rat)> {
     let mut pick: Option<(usize, Rat)> = None;
-    for &v in var_map.values() {
+    for &(_, v) in int_vars {
         let val = s.value(v);
         if val.is_integer() {
             continue;
@@ -263,14 +407,6 @@ fn pick_fractional(
         }
     }
     pick
-}
-
-fn finish_conflict(c: crate::simplex::Conflict, n_atoms: usize) -> LiaOutcome {
-    if c.tainted {
-        LiaOutcome::Unsat((0..n_atoms).collect())
-    } else {
-        LiaOutcome::Unsat(c.tags)
-    }
 }
 
 #[cfg(test)]
@@ -373,42 +509,77 @@ mod tests {
     }
 
     #[test]
-    fn incremental_extends_rather_than_rebuilds() {
+    fn incremental_asserts_and_retracts_atoms() {
         let (_a, v) = vars(2);
         let mut e01 = LinExpr::var(v[0]);
         e01 = e01.add(&LinExpr::var(v[1])).unwrap();
-        let a_sum = atom(e01.clone(), 5); // x0+x1 <= 5
-        let a_x0 = atom(LinExpr::var(v[0]).neg().unwrap(), -3); // x0 >= 3
-        let a_x1 = atom(LinExpr::var(v[1]).neg().unwrap(), -3); // x1 >= 3
-        let a_neg_sum = atom(e01.neg().unwrap(), -7); // x0+x1 >= 7
         let mut inc = IncLia::new();
-        // First check registers the sum row.
-        assert!(matches!(
-            inc.check(&[a_sum.clone(), a_x0.clone()], &LiaConfig::default())
-                .unwrap(),
-            LiaOutcome::Sat(_)
-        ));
+        let cfg = LiaConfig::default();
+        let sum = inc.register(&atom(e01.clone(), 5)); // x0+x1 <= 5
+        let x0 = inc.register(&atom(LinExpr::var(v[0]).neg().unwrap(), -3)); // x0 >= 3
+        let x1 = inc.register(&atom(LinExpr::var(v[1]).neg().unwrap(), -3)); // x1 >= 3
+                                                                             // The negated form shares the sum's canonical row.
+        let ge7 = inc.register(&atom(e01.neg().unwrap(), -7)); // x0+x1 >= 7
         assert_eq!(inc.rows_extended, 1);
-        // Second check re-uses it and finds the joint conflict.
-        match inc
-            .check(&[a_sum.clone(), a_x0.clone(), a_x1], &LiaConfig::default())
-            .unwrap()
-        {
-            LiaOutcome::Unsat(core) => assert_eq!(core.len(), 3),
+        assert_eq!(inc.rows_reused, 3, "each polarity of both sum atoms");
+        assert!(inc.assert_atom(sum, true).unwrap().is_none());
+        assert!(inc.assert_atom(x0, true).unwrap().is_none());
+        assert!(matches!(inc.check(&cfg).unwrap(), LiaOutcome::Sat(_)));
+        assert!(inc.assert_atom(x1, true).unwrap().is_none());
+        match inc.check(&cfg).unwrap() {
+            LiaOutcome::Unsat(mut core) => {
+                core.sort_unstable();
+                assert_eq!(core, vec![sum, x0, x1]);
+            }
             other => panic!("expected unsat, got {other:?}"),
         }
-        assert_eq!(inc.rows_extended, 1);
-        assert!(inc.rows_reused >= 1);
-        // The negated form shares the same canonical row.
-        assert!(matches!(
-            inc.check(&[a_neg_sum], &LiaConfig::default()).unwrap(),
-            LiaOutcome::Sat(_)
-        ));
-        assert_eq!(inc.rows_extended, 1);
-        // Dropping atoms between checks needs no retraction: the earlier
-        // x0 >= 3 bound is gone, so x0+x1 <= 2 alone is satisfiable.
-        match inc.check(&[atom(e01, 2)], &LiaConfig::default()).unwrap() {
-            LiaOutcome::Sat(m) => assert!(m[&v[0]] + m[&v[1]] <= 2),
+        // Retracting x1 >= 3 restores feasibility from the same tableau.
+        inc.backtrack(2);
+        assert!(matches!(inc.check(&cfg).unwrap(), LiaOutcome::Sat(_)));
+        // Negative polarity: ¬(x0 >= 3) is x0 <= 2, together with the sum's
+        // negation (x0+x1 >= 6, since ¬(x0+x1 <= 5)).
+        inc.backtrack(0);
+        assert!(inc.assert_atom(x0, false).unwrap().is_none());
+        assert!(inc.assert_atom(sum, false).unwrap().is_none());
+        match inc.check(&cfg).unwrap() {
+            LiaOutcome::Sat(m) => assert!(m[&v[0]] <= 2 && m[&v[0]] + m[&v[1]] >= 6),
+            other => panic!("expected sat, got {other:?}"),
+        }
+        // Joint infeasibility over the row shows up in check.
+        assert!(inc.assert_atom(x1, false).unwrap().is_none()); // x1 <= 2
+        assert!(inc.assert_atom(ge7, true).unwrap().is_none());
+        match inc.check(&cfg).unwrap() {
+            LiaOutcome::Unsat(core) => assert!(core.contains(&ge7)),
+            other => panic!("expected unsat, got {other:?}"),
+        }
+        // A direct bound clash is caught on assertion, names both atoms,
+        // and leaves the clashing atom unasserted.
+        let core = inc.assert_atom(sum, true).unwrap().expect("clash");
+        assert!(core.contains(&sum) && core.contains(&ge7));
+        assert_eq!(inc.num_asserted(), 4);
+    }
+
+    #[test]
+    fn branch_and_bound_bounds_are_retracted() {
+        let (_a, v) = vars(1);
+        // 2x <= 5 and 2x >= 3: the relaxation says x = 2.5, B&B finds 2.
+        let two_x = LinExpr::var(v[0]).scale(2).unwrap();
+        let mut inc = IncLia::new();
+        let cfg = LiaConfig::default();
+        let le = inc.register(&atom(two_x.clone(), 5));
+        let ge = inc.register(&atom(two_x.neg().unwrap(), -3));
+        assert!(inc.assert_atom(le, true).unwrap().is_none());
+        assert!(inc.assert_atom(ge, true).unwrap().is_none());
+        match inc.check(&cfg).unwrap() {
+            LiaOutcome::Sat(m) => assert_eq!(m[&v[0]], 2),
+            other => panic!("expected sat, got {other:?}"),
+        }
+        // No branch bound survives the check: with both atoms retracted,
+        // ¬(2x <= 5) needs x >= 3, which a leftover x <= 2 would forbid.
+        inc.backtrack(0);
+        assert!(inc.assert_atom(le, false).unwrap().is_none());
+        match inc.check(&cfg).unwrap() {
+            LiaOutcome::Sat(m) => assert!(m[&v[0]] >= 3),
             other => panic!("expected sat, got {other:?}"),
         }
     }

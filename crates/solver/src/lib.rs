@@ -13,10 +13,12 @@
 //! 2. **Bit-blasting** ([`bitblast`]): bitvector terms become circuits over
 //!    SAT literals (ripple-carry adders, shift-add multipliers, barrel
 //!    shifters, restoring dividers).
-//! 3. **Lazy LIA** ([`lia`], [`simplex`]): integer atoms stay opaque SAT
-//!    literals; each propositional model's asserted atoms are checked with a
-//!    Dutertre–de Moura simplex plus branch-and-bound, and conflicts return
-//!    as blocking clauses (DPLL(T)).
+//! 3. **Online LIA** ([`lia`], [`simplex`]): integer atoms stay opaque SAT
+//!    literals. As CDCL search assigns them, the atoms on the trail are
+//!    checked with a backtrackable Dutertre–de Moura simplex (plus
+//!    branch-and-bound on a full assignment), and a conflict returns as a
+//!    lemma that search resolves and backjumps from without restarting
+//!    (DPLL(T)).
 //!
 //! The paper's observation that bit-blasting 64-bit pointer arithmetic causes
 //! solver explosion (§4.3, "Converting pointer values … to integers")

@@ -9,10 +9,21 @@
 //! * terms already lowered to CNF are never re-blasted (the blaster's
 //!   `TermId`-keyed caches survive because the arena is hash-consed and
 //!   append-only);
-//! * learned clauses are retained across checks (they are implied by the
-//!   permanent clause set, see below);
-//! * the simplex template is extended with new linear forms instead of being
-//!   rebuilt per check.
+//! * learned clauses and theory lemmas are retained across checks (they are
+//!   implied by the permanent clause set and the theory, see below);
+//! * the simplex gains a row only for a new linear form.
+//!
+//! # Online DPLL(T)
+//!
+//! A check is a single [`Solver::solve_with`] call whose hook is the LIA
+//! theory. At every propagation fixpoint the hook brings a backtrackable
+//! simplex in line with the theory literals on the trail — retracting what
+//! backtracking undid since its last call, asserting what was assigned
+//! since — and checks the rational relaxation; the full assignment it
+//! decides outright (see [`IncLia::check`]). A conflict core comes back as a
+//! lemma, which the SAT core attaches and resolves by ordinary conflict
+//! analysis, backjumping from the lemma's highest decision level instead of
+//! restarting the search.
 //!
 //! # Scope semantics
 //!
@@ -31,19 +42,20 @@
 //! Everything the session adds *unguarded* is either a definitional
 //! extension (Tseitin gate clauses, adder/comparator circuits, Ackermann
 //! select/application variables, integer-`ite` purification implications) or
-//! a theory-valid lemma (congruence axioms, LIA blocking clauses over the
-//! theory atoms). Neither constrains the original variables beyond what the
+//! a theory-valid lemma (congruence axioms, LIA lemmas over the theory
+//! atoms). Neither constrains the original variables beyond what the
 //! theory already implies, so they may persist forever. Scoped user
 //! assertions are the only clauses whose truth is scope-relative, and those
 //! are guarded. Learned clauses are resolvents of permanent and guarded
 //! clauses; a resolvent of guarded clauses keeps (one of) the `¬act`
-//! guard(s), so it, too, is vacuous once its scope dies. If a blocking
-//! clause is all-false at decision level 0, the *permanent* set is already
+//! guard(s), so it, too, is vacuous once its scope dies. If a theory
+//! lemma is all-false at decision level 0, the *permanent* set is already
 //! theory-inconsistent and reporting `Unsat` forever after is correct.
 
 use std::collections::HashMap;
 
-use tpot_sat::{Lit, SatResult, Solver};
+use tpot_obs::metrics::{LazyCounter, LazyHistogram};
+use tpot_sat::{FinalCheck, Lit, SatResult, Solver};
 use tpot_smt::{eval, FuncId, Kind, Model, Sort, TermArena, TermId, Value};
 
 use crate::bitblast::BitBlaster;
@@ -53,6 +65,9 @@ use crate::lia::{IncLia, LiaOutcome};
 use crate::linexpr::LeAtom;
 use crate::preprocess::{IncPreprocess, UfApp};
 use crate::smt::SmtResult;
+
+static LEMMAS: LazyCounter = LazyCounter::new("solver.theory.lemmas");
+static LEMMAS_PER_CHECK: LazyHistogram = LazyHistogram::new("solver.dpllt.lemmas");
 
 /// Counters a session accumulates over its lifetime; callers read deltas
 /// around a check to attribute incremental work.
@@ -64,6 +79,8 @@ pub struct SessionStats {
     pub pops: u64,
     /// Clauses physically reclaimed by scope GC on `pop`.
     pub clauses_gced: u64,
+    /// LIA lemmas learned inside SAT search.
+    pub lemmas: u64,
 }
 
 /// One open assertion scope.
@@ -118,7 +135,7 @@ pub struct SolveSession {
     pub config: SolverConfig,
     bb: BitBlaster,
     pre: IncPreprocess,
-    lia: IncLia,
+    theory: LiaTheory,
     scopes: Vec<Scope>,
     /// Lifetime counters.
     pub stats: SessionStats,
@@ -135,7 +152,7 @@ impl SolveSession {
             config,
             bb: BitBlaster::new(sat),
             pre: IncPreprocess::new(),
-            lia: IncLia::new(),
+            theory: LiaTheory::default(),
             scopes: Vec::new(),
             stats: SessionStats::default(),
             last_unsat: None,
@@ -276,73 +293,49 @@ impl SolveSession {
         }
         let _span =
             tpot_obs::span_args("solver", "dpllt", &[("instance", self.config.name.clone())]);
-        let mut rounds = 0u64;
-        loop {
-            rounds += 1;
-            if rounds > self.config.max_theory_rounds {
-                return Ok(SmtResult::Unknown);
-            }
-            match self.bb.sat.solve(&assumps) {
-                SatResult::Unsat => {
-                    self.record_unsat_attribution();
-                    self.verify_proof(&assumps)?;
-                    return Ok(SmtResult::Unsat);
-                }
-                SatResult::Unknown => return Ok(SmtResult::Unknown),
-                SatResult::Sat => {}
-            }
-            if self.bb.atoms.is_empty() {
-                return self.sat_result(arena, need_model, &HashMap::new());
-            }
-            // Collect the effective theory atoms under the SAT model. Atoms
-            // introduced by scopes popped since are still present; their
-            // literals are unconstrained, so the model (or saved phase)
-            // picks a polarity and the theory check treats them like any
-            // other atom — at worst this learns extra theory-valid blocking
-            // clauses over them.
-            let mut effective: Vec<LeAtom> = Vec::with_capacity(self.bb.atoms.len());
-            let mut polarity: Vec<bool> = Vec::with_capacity(self.bb.atoms.len());
-            for (lit, atom) in &self.bb.atoms {
-                let asserted = self.bb.sat.model_value(lit.var()) == lit.is_pos();
-                polarity.push(asserted);
-                effective.push(if asserted {
-                    atom.clone()
-                } else {
-                    atom.negate()?
+        self.theory.register(&self.bb.atoms);
+        let mut lemmas = 0u64;
+        let mut failure: Option<SolverError> = None;
+        let mut int_model = HashMap::new();
+        let (theory, atoms, config) = (&mut self.theory, &self.bb.atoms, &self.config);
+        let result = self.bb.sat.solve_with(&assumps, &mut |sat| {
+            let step = theory
+                .check(sat, atoms, config)
+                .and_then(|outcome| match outcome {
+                    LiaOutcome::Sat(m) => {
+                        int_model = m;
+                        Ok(FinalCheck::Consistent)
+                    }
+                    LiaOutcome::Unknown => Ok(FinalCheck::GiveUp),
+                    LiaOutcome::Unsat(_) if lemmas >= config.max_theory_rounds => {
+                        Ok(FinalCheck::GiveUp)
+                    }
+                    LiaOutcome::Unsat(core) => {
+                        lemmas += 1;
+                        theory
+                            .lemma(sat, atoms, core, config)
+                            .map(FinalCheck::Conflict)
+                    }
                 });
+            step.unwrap_or_else(|e| {
+                failure = Some(e);
+                FinalCheck::GiveUp
+            })
+        });
+        self.stats.lemmas += lemmas;
+        LEMMAS.add(lemmas);
+        LEMMAS_PER_CHECK.observe(lemmas);
+        if let Some(e) = failure {
+            return Err(e);
+        }
+        match result {
+            SatResult::Unsat => {
+                self.record_unsat_attribution();
+                self.verify_proof(&assumps)?;
+                Ok(SmtResult::Unsat)
             }
-            match self.lia.check(&effective, &self.config.lia)? {
-                LiaOutcome::Sat(int_model) => {
-                    return self.sat_result(arena, need_model, &int_model);
-                }
-                LiaOutcome::Unknown => return Ok(SmtResult::Unknown),
-                LiaOutcome::Unsat(mut core) => {
-                    if self.config.minimize_cores && core.len() <= 20 {
-                        core = minimize_core(&effective, core, &self.config)?;
-                    }
-                    // Blocking clause: at least one core atom must flip. The
-                    // clause is theory-valid, hence permanent (unguarded).
-                    let clause: Vec<Lit> = core
-                        .iter()
-                        .map(|&i| {
-                            let l = self.bb.atoms[i].0;
-                            if polarity[i] {
-                                l.negate()
-                            } else {
-                                l
-                            }
-                        })
-                        .collect();
-                    if !self.bb.sat.add_clause(&clause) {
-                        // The blocking clause conflicted at level 0: the
-                        // proof ends in the empty clause. No assumption was
-                        // needed, so the attributed core is empty.
-                        self.record_unsat_attribution();
-                        self.verify_proof(&[])?;
-                        return Ok(SmtResult::Unsat);
-                    }
-                }
-            }
+            SatResult::Unknown => Ok(SmtResult::Unknown),
+            SatResult::Sat => self.sat_result(arena, need_model, &int_model),
         }
     }
 
@@ -414,21 +407,156 @@ impl SolveSession {
     }
 }
 
-/// Greedy deletion-based minimization of a LIA conflict core.
+const NO_ATOM: u32 = u32::MAX;
+
+/// The LIA side of a session's DPLL(T): an [`IncLia`] whose asserted atoms
+/// mirror the theory literals on the SAT trail.
 ///
-/// Runs on one-shot LIA checks (a fresh context per trial): the trials
-/// remove atoms, which the incremental template cannot express.
-fn minimize_core(
-    effective: &[LeAtom],
-    mut core: Vec<usize>,
-    config: &SolverConfig,
-) -> Result<Vec<usize>, SolverError> {
+/// Atom ids are indices into [`BitBlaster::atoms`]. Every theory atom the
+/// session ever introduced takes part, atoms of popped scopes included:
+/// their literals are unconstrained, so search picks a polarity and the
+/// theory treats them like any other atom — at worst this learns extra
+/// theory-valid lemmas over them.
+#[derive(Clone, Default)]
+struct LiaTheory {
+    lia: IncLia,
+    /// SAT variable → atom id, `NO_ATOM` for variables that are none.
+    atom_of_var: Vec<u32>,
+    /// Trail position of each asserted atom, in assertion order.
+    asserted_at: Vec<usize>,
+    /// Trail prefix already mirrored into `lia`.
+    synced: usize,
+    /// Number of asserted atoms the relaxation was last checked with.
+    checked: usize,
+}
+
+impl LiaTheory {
+    /// Registers the atoms the blaster created since the last call.
+    fn register(&mut self, atoms: &[(Lit, LeAtom)]) {
+        for (lit, atom) in &atoms[self.lia.num_atoms()..] {
+            let id = self.lia.register(atom);
+            let v = lit.var().0 as usize;
+            if self.atom_of_var.len() <= v {
+                self.atom_of_var.resize(v + 1, NO_ATOM);
+            }
+            self.atom_of_var[v] = id as u32;
+        }
+    }
+
+    /// Consults the theory on the SAT solver's current assignment. A full
+    /// assignment is decided ([`IncLia::check`]). At a propagation fixpoint
+    /// only the rational relaxation is checked, and only when atoms were
+    /// asserted since it was last checked; a `Sat` answer there carries no
+    /// model.
+    fn check(
+        &mut self,
+        sat: &Solver,
+        atoms: &[(Lit, LeAtom)],
+        config: &SolverConfig,
+    ) -> Result<LiaOutcome, SolverError> {
+        if atoms.is_empty() {
+            return Ok(LiaOutcome::Sat(HashMap::new()));
+        }
+        if let Some(core) = self.sync(sat, atoms)? {
+            return Ok(LiaOutcome::Unsat(core));
+        }
+        let grown = self.checked < self.lia.num_asserted();
+        self.checked = self.lia.num_asserted();
+        if sat.assignment_is_full() {
+            return self.lia.check(&config.lia);
+        }
+        let core = if grown {
+            self.lia.check_relaxation()?
+        } else {
+            None
+        };
+        Ok(match core {
+            Some(core) => LiaOutcome::Unsat(core),
+            None => LiaOutcome::Sat(HashMap::new()),
+        })
+    }
+
+    /// Brings the asserted atoms in line with the trail: retracts those
+    /// whose trail positions backtracking undid, then asserts the theory
+    /// literals assigned since. Returns the core of a direct bound clash.
+    fn sync(
+        &mut self,
+        sat: &Solver,
+        atoms: &[(Lit, LeAtom)],
+    ) -> Result<Option<Vec<usize>>, SolverError> {
+        let keep = sat.stable_trail_len().min(self.synced);
+        let n = self.asserted_at.partition_point(|&p| p < keep);
+        self.lia.backtrack(n);
+        self.asserted_at.truncate(n);
+        self.checked = self.checked.min(n);
+        let trail = sat.trail();
+        for (pos, &l) in trail.iter().enumerate().skip(keep) {
+            let id = match self.atom_of_var.get(l.var().0 as usize) {
+                Some(&id) if id != NO_ATOM => id as usize,
+                _ => continue,
+            };
+            if let Some(core) = self.lia.assert_atom(id, l == atoms[id].0)? {
+                self.synced = pos;
+                return Ok(Some(core));
+            }
+            self.asserted_at.push(pos);
+        }
+        self.synced = trail.len();
+        Ok(None)
+    }
+
+    /// The lemma for a conflict core: at least one core atom must flip.
+    /// Minimized first when configured and small enough.
+    fn lemma(
+        &self,
+        sat: &Solver,
+        atoms: &[(Lit, LeAtom)],
+        mut core: Vec<usize>,
+        config: &SolverConfig,
+    ) -> Result<Vec<Lit>, SolverError> {
+        // The literal of each core atom that holds on the trail.
+        let holds = |id: usize| {
+            let l = atoms[id].0;
+            if sat.model_value(l.var()) == l.is_pos() {
+                l
+            } else {
+                l.negate()
+            }
+        };
+        if config.minimize_cores && core.len() <= 20 {
+            let effective = core
+                .iter()
+                .map(|&id| {
+                    let atom = &atoms[id].1;
+                    if holds(id) == atoms[id].0 {
+                        Ok(atom.clone())
+                    } else {
+                        atom.negate()
+                    }
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            core = minimize_core(&effective, config)?
+                .into_iter()
+                .map(|k| core[k])
+                .collect();
+        }
+        Ok(core.into_iter().map(|id| holds(id).negate()).collect())
+    }
+}
+
+/// Greedy deletion-based minimization of an infeasible atom set; returns
+/// the positions in `atoms` that are kept.
+///
+/// Runs on one-shot LIA checks (a fresh context per trial), so the
+/// session's own simplex is left alone.
+fn minimize_core(atoms: &[LeAtom], config: &SolverConfig) -> Result<Vec<usize>, SolverError> {
+    let mut core: Vec<usize> = (0..atoms.len()).collect();
     let mut i = 0;
     while i < core.len() && core.len() > 1 {
         let mut trial = core.clone();
         trial.remove(i);
-        let atoms: Vec<LeAtom> = trial.iter().map(|&k| effective[k].clone()).collect();
-        match crate::lia::solve_lia(&atoms, &config.lia)? {
+        let trial_atoms: Vec<LeAtom> = trial.iter().map(|&k| atoms[k].clone()).collect();
+        match crate::lia::solve_lia(&trial_atoms, &config.lia)? {
             LiaOutcome::Unsat(_) => {
                 core = trial;
             }
@@ -819,6 +947,95 @@ mod tests {
         s.set_sink(None);
         assert!(s.check(&mut a, false).unwrap().is_unsat());
         assert_eq!(sink.load().solves, got.solves);
+    }
+
+    /// A session whose next check needs at least five LIA lemmas: atoms
+    /// left behind by a popped scope are unconstrained, and whichever
+    /// polarity search gives them, five of them contradict the base bounds
+    /// 10 <= x <= 20 one at a time.
+    fn lemma_heavy_session(a: &mut TermArena, cfg: SolverConfig) -> (SolveSession, Vec<TermId>) {
+        let x = a.var("lx", Sort::Int);
+        let mut s = SolveSession::new(cfg);
+        s.push();
+        for k in 0..5 {
+            let lo = a.int_const(k);
+            let hi = a.int_const(30 + k);
+            let le_lo = a.int_le(x, lo);
+            let le_hi = a.int_le(x, hi);
+            s.assert_many(a, &[le_lo, le_hi]).unwrap();
+        }
+        assert!(s.check(a, false).unwrap().is_sat());
+        s.pop();
+        let (c10, c20) = (a.int_const(10), a.int_const(20));
+        let base = vec![a.int_le(c10, x), a.int_le(x, c20)];
+        s.assert_many(a, &base).unwrap();
+        (s, base)
+    }
+
+    #[test]
+    fn theory_lemmas_are_learned_in_one_sat_solve() {
+        let mut a = TermArena::new();
+        let (mut s, base) = lemma_heavy_session(&mut a, SolverConfig::default());
+        let (solves, lemmas) = (s.sat_stats().solves, s.stats.lemmas);
+        match s.check(&mut a, true).unwrap() {
+            SmtResult::Sat(m) => assert_model_satisfies(&a, &m, &base),
+            other => panic!("expected sat: {other:?}"),
+        }
+        assert_eq!(s.sat_stats().solves - solves, 1, "one SAT solve per check");
+        assert!(s.stats.lemmas - lemmas >= 3, "needs several lemmas");
+    }
+
+    #[test]
+    fn lemma_budget_gives_unknown_and_leaves_the_session_usable() {
+        let mut a = TermArena::new();
+        let cfg = SolverConfig {
+            max_theory_rounds: 1,
+            ..SolverConfig::default()
+        };
+        let (mut s, base) = lemma_heavy_session(&mut a, cfg);
+        assert!(matches!(s.check(&mut a, true).unwrap(), SmtResult::Unknown));
+        assert_eq!(s.stats.lemmas, 1, "the budget is one lemma per check");
+        s.config.max_theory_rounds = SolverConfig::default().max_theory_rounds;
+        match s.check(&mut a, true).unwrap() {
+            SmtResult::Sat(m) => assert_model_satisfies(&a, &m, &base),
+            other => panic!("expected sat: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn proof_checked_unsat_through_theory_lemmas() {
+        // x + y >= 10, x <= 5, y <= 5 force x = y = 5; the scoped
+        // (x <= 3 ∨ y <= 3) then needs a lemma for each disjunct. A
+        // rejected DRAT proof would surface as Err from check.
+        let mut cfg = SolverConfig::default();
+        cfg.sat.proof = true;
+        let mut a = TermArena::new();
+        let x = a.var("px", Sort::Int);
+        let y = a.var("py", Sort::Int);
+        let (c3, c5, c10) = (a.int_const(3), a.int_const(5), a.int_const(10));
+        let sum = a.int_add2(x, y);
+        let base = [a.int_le(c10, sum), a.int_le(x, c5), a.int_le(y, c5)];
+        let (x3, y3) = (a.int_le(x, c3), a.int_le(y, c3));
+        let either = a.or(&[x3, y3]);
+        let mut s = SolveSession::new(cfg);
+        s.assert_many(&mut a, &base).unwrap();
+        s.push();
+        s.assert(&mut a, either).unwrap();
+        let lemmas = s.stats.lemmas;
+        assert!(s.check(&mut a, false).unwrap().is_unsat());
+        assert!(s.stats.lemmas - lemmas >= 2);
+        let attr = s.last_unsat.clone().expect("attribution");
+        assert_eq!(attr.core_scopes, vec![0], "the disjunction's scope is core");
+        s.pop();
+        // The same disjunction as a transient assumption.
+        assert!(s
+            .check_assuming(&mut a, &[either], false)
+            .unwrap()
+            .is_unsat());
+        match s.check(&mut a, true).unwrap() {
+            SmtResult::Sat(m) => assert_model_satisfies(&a, &m, &base),
+            other => panic!("expected sat: {other:?}"),
+        }
     }
 
     #[test]

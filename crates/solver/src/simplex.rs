@@ -5,8 +5,13 @@
 //! assignment that always satisfies the tableau and the nonbasic bounds, and
 //! a `check` loop that pivots out-of-bounds basic variables using Bland's
 //! rule (guaranteeing termination). Conflicts carry the *tags* of the
-//! contributing bounds so the DPLL(T) layer can learn small blocking
-//! clauses.
+//! contributing bounds so the DPLL(T) layer can learn small theory lemmas.
+//!
+//! Bounds are backtrackable: every change is recorded on an undo stack, and
+//! [`Simplex::pop_to`] restores the bounds of an earlier [`Simplex::mark`].
+//! The tableau and the assignment are kept — loosening bounds cannot break
+//! the invariant that nonbasic variables sit within theirs — so the next
+//! `check` starts from the last feasible basis (a warm start).
 
 use std::collections::BTreeMap;
 
@@ -15,8 +20,7 @@ use tpot_obs::metrics::LazyCounter;
 use crate::error::SolverError;
 use crate::rational::Rat;
 
-/// Process-wide pivot count (the per-instance `num_pivots` resets with each
-/// branch-and-bound clone; this one is what `TPOT_METRICS` reports).
+/// Process-wide pivot count (what `TPOT_METRICS` reports).
 static PIVOTS: LazyCounter = LazyCounter::new("solver.simplex.pivots");
 
 /// A conflict explanation: tags of the bounds that are jointly infeasible.
@@ -35,7 +39,7 @@ struct Bound {
     tag: Option<usize>,
 }
 
-/// The simplex solver. Cloneable so branch-and-bound can explore branches.
+/// The simplex solver.
 #[derive(Clone, Default)]
 pub struct Simplex {
     /// `rows[b]` (for basic `b`): definition `x_b = Σ coeff·x_nonbasic`.
@@ -44,8 +48,8 @@ pub struct Simplex {
     upper: Vec<Bound>,
     beta: Vec<Rat>,
     is_basic: Vec<bool>,
-    /// Statistics: pivots performed.
-    pub num_pivots: u64,
+    /// Every bound change, oldest first: `(var, upper?, previous bound)`.
+    undo: Vec<(usize, bool, Bound)>,
 }
 
 impl Simplex {
@@ -72,6 +76,22 @@ impl Simplex {
     /// Current assignment of a variable.
     pub fn value(&self, v: usize) -> Rat {
         self.beta[v]
+    }
+
+    /// A backtrack point: the bounds as they stand now.
+    pub fn mark(&self) -> usize {
+        self.undo.len()
+    }
+
+    /// Restores every bound to its value at `mark`, newest change first.
+    pub fn pop_to(&mut self, mark: usize) {
+        for (v, upper, old) in self.undo.drain(mark..).rev() {
+            if upper {
+                self.upper[v] = old;
+            } else {
+                self.lower[v] = old;
+            }
+        }
     }
 
     /// Introduces a slack variable `s = Σ cᵢ·xᵢ` as a basic variable and
@@ -119,10 +139,14 @@ impl Simplex {
                 return Ok(Some(self.bound_conflict(v, tag, true)));
             }
         }
-        self.upper[v] = Bound {
-            value: Some(bound),
-            tag,
-        };
+        let old = std::mem::replace(
+            &mut self.upper[v],
+            Bound {
+                value: Some(bound),
+                tag,
+            },
+        );
+        self.undo.push((v, true, old));
         if !self.is_basic[v] && self.beta[v] > bound {
             self.update_nonbasic(v, bound)?;
         }
@@ -146,10 +170,14 @@ impl Simplex {
                 return Ok(Some(self.bound_conflict(v, tag, false)));
             }
         }
-        self.lower[v] = Bound {
-            value: Some(bound),
-            tag,
-        };
+        let old = std::mem::replace(
+            &mut self.lower[v],
+            Bound {
+                value: Some(bound),
+                tag,
+            },
+        );
+        self.undo.push((v, false, old));
         if !self.is_basic[v] && self.beta[v] < bound {
             self.update_nonbasic(v, bound)?;
         }
@@ -279,7 +307,6 @@ impl Simplex {
     }
 
     fn pivot_and_update(&mut self, xi: usize, xj: usize, v: Rat) -> Result<(), SolverError> {
-        self.num_pivots += 1;
         PIVOTS.add(1);
         let aij = self.rows[&xi][&xj];
         let theta = v.sub(&self.beta[xi])?.div(&aij)?;
@@ -450,24 +477,45 @@ mod tests {
     }
 
     #[test]
-    fn clone_for_branching() {
+    fn pop_to_restores_bounds_and_keeps_a_feasible_basis() {
+        // x + y <= 3 with x >= 2: feasible. Adding y >= 2 conflicts; popping
+        // it restores feasibility without rebuilding anything.
+        let mut s = Simplex::new();
+        let x = s.new_var();
+        let y = s.new_var();
+        let sum = s.add_row(&[(x, r(1)), (y, r(1))]).unwrap();
+        s.assert_upper(sum, r(3), Some(0)).unwrap();
+        s.assert_lower(x, r(2), Some(1)).unwrap();
+        assert!(s.check().unwrap().is_none());
+        let m = s.mark();
+        s.assert_lower(y, r(2), Some(2)).unwrap();
+        assert!(s.check().unwrap().is_some());
+        s.pop_to(m);
+        assert!(s.check().unwrap().is_none());
+        assert!(s.value(x) >= r(2));
+        // The popped bound is really gone: y may go below 2 again.
+        s.assert_upper(y, r(0), Some(3)).unwrap();
+        assert!(s.check().unwrap().is_none());
+        // And popping to the start frees everything.
+        s.pop_to(0);
+        s.assert_lower(y, r(10), Some(4)).unwrap();
+        s.assert_upper(sum, r(10), Some(5)).unwrap();
+        assert!(s.check().unwrap().is_none());
+    }
+
+    #[test]
+    fn popped_branch_bound_leaves_no_taint() {
         let mut s = Simplex::new();
         let x = s.new_var();
         s.assert_lower(x, r(0), Some(0)).unwrap();
-        let mut s2 = s.clone();
-        s2.assert_upper(x, r(-1), None).unwrap_err_or_conflict();
-    }
-
-    trait TestExt {
-        fn unwrap_err_or_conflict(self);
-    }
-    impl TestExt for Result<Option<Conflict>, SolverError> {
-        fn unwrap_err_or_conflict(self) {
-            match self {
-                Ok(Some(c)) => assert!(c.tainted || !c.tags.is_empty()),
-                Ok(None) => panic!("expected conflict"),
-                Err(_) => {}
-            }
-        }
+        let m = s.mark();
+        s.assert_upper(x, r(5), None).unwrap();
+        s.pop_to(m);
+        let c = s
+            .assert_upper(x, r(-1), Some(1))
+            .unwrap()
+            .expect("conflict");
+        assert!(!c.tainted);
+        assert_eq!(c.tags, vec![1, 0]);
     }
 }

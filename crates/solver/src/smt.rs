@@ -1,5 +1,5 @@
-//! The top-level SMT solver: DPLL(T) over the bit-blasted core with lazy
-//! linear-integer-arithmetic checks.
+//! The top-level SMT solver: DPLL(T) over the bit-blasted core with
+//! linear-integer-arithmetic checks inside SAT search.
 
 use tpot_smt::{Model, TermArena, TermId};
 
@@ -14,7 +14,8 @@ pub enum SmtResult {
     Sat(Model),
     /// Unsatisfiable.
     Unsat,
-    /// Resource limits exhausted (conflict budget or theory rounds).
+    /// Resource limits exhausted (conflict budget, lemma budget or
+    /// branch-and-bound nodes).
     Unknown,
 }
 

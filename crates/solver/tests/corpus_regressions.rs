@@ -87,6 +87,8 @@ fn corpus_verdicts_and_models() {
 /// the adjudicated verdict like the main corpus replay and, for sat,
 /// validates the model against every assertion with the concrete
 /// evaluator. A future regression back to `Unknown` fails loudly here.
+/// `slow-bfac6eb8c77fce75.smt2`, from the same POT, pins where
+/// branch-and-bound starts (its header says why).
 #[test]
 fn slow_corpus_now_decides() {
     let mut cases: Vec<PathBuf> = fs::read_dir(corpus_dir().join("slow"))
