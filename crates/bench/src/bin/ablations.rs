@@ -35,6 +35,8 @@ fn run(m: &tpot_ir::Module, cfg: EngineConfig, pot: &str) -> (bool, std::time::D
 }
 
 fn main() {
+    // Each ablation flips one knob of the environment's configuration.
+    let base = EngineConfig::from_env();
     let m = fig5_module();
     println!("Ablation 1: pointer encoding (Fig. 5 naming example, spec__incr_p1)");
     for (name, mode) in [
@@ -43,7 +45,7 @@ fn main() {
     ] {
         let cfg = EngineConfig {
             addr_mode: mode,
-            ..EngineConfig::default()
+            ..base.clone()
         };
         let (ok, d, q) = run(&m, cfg, "spec__incr_p1");
         println!("  {name:<18} proved={ok}  time={}  queries={q}", fmt_dur(d));
@@ -53,7 +55,7 @@ fn main() {
     for (name, simp) in [("simplifier on", true), ("simplifier off", false)] {
         let cfg = EngineConfig {
             simplifier: simp,
-            ..EngineConfig::default()
+            ..base.clone()
         };
         let (ok, d, q) = run(&m, cfg, "spec__incr_p1");
         println!("  {name:<18} proved={ok}  time={}  queries={q}", fmt_dur(d));
@@ -63,7 +65,7 @@ fn main() {
     for n in [1usize, 4] {
         let cfg = EngineConfig {
             portfolio_size: n,
-            ..EngineConfig::default()
+            ..base.clone()
         };
         let (ok, d, q) = run(&m, cfg, "spec__incr_p1");
         println!(
@@ -78,7 +80,7 @@ fn main() {
     for label in ["cold", "warm"] {
         let cfg = EngineConfig {
             cache_path: Some(cache.clone()),
-            ..EngineConfig::default()
+            ..base.clone()
         };
         let (ok, d, q) = run(&m, cfg, "spec__incr_p1");
         println!(

@@ -7,14 +7,14 @@
 
 use tpot_baseline::ModularVerifier;
 use tpot_bench::fmt_dur;
-use tpot_engine::PotStatus;
+use tpot_engine::{EngineConfig, PotStatus, Verifier};
 use tpot_targets::{annot::count_annotations, loc::count_loc, target};
 
 fn main() {
     let t = target("vigor").unwrap();
 
     println!("== TPot (component-level, inlining, no internal contracts) ==");
-    let v = t.verifier().unwrap();
+    let v = Verifier::with_config(t.module().unwrap(), EngineConfig::from_env());
     let mut tpot_ok = 0;
     let mut tpot_time = std::time::Duration::ZERO;
     for pot in v.module.pot_names() {
@@ -40,7 +40,8 @@ fn main() {
         .expect("run from the repository root");
     let src = format!("{}\n{}", t.impl_src, contracts);
     let m = tpot_ir::lower(&tpot_cfront::compile(&src).unwrap()).unwrap();
-    let mv = ModularVerifier::new(m).unwrap();
+    let mut mv = ModularVerifier::new(m).unwrap();
+    mv.config = EngineConfig::from_env();
     let mut base_time = std::time::Duration::ZERO;
     for f in mv.contracted_functions() {
         let r = mv.verify_function(&f);

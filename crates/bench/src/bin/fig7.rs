@@ -3,6 +3,7 @@
 //!
 //! Usage: `fig7 [target-fragment ...]` (default: the three small targets).
 
+use tpot_engine::{EngineConfig, Verifier};
 use tpot_targets::all_targets;
 
 fn main() {
@@ -29,7 +30,10 @@ fn main() {
         {
             continue;
         }
-        let v = t.verifier().expect("target compiles");
+        let v = Verifier::with_config(
+            t.module().expect("target compiles"),
+            EngineConfig::from_env(),
+        );
         let mut agg = tpot_engine::Stats::default();
         for pot in v.module.pot_names() {
             let r = v.verify_pot(&pot);

@@ -1,10 +1,10 @@
 //! Minimal loop-invariant + forall_elem debugging harness.
 
-use tpot_engine::{PotStatus, Verifier};
+use tpot_engine::{EngineConfig, PotStatus, Verifier};
 
 fn run(name: &str, src: &str, pot: &str) {
     let m = tpot_ir::lower(&tpot_cfront::compile(src).unwrap()).unwrap();
-    let v = Verifier::new(m);
+    let v = Verifier::with_config(m, EngineConfig::from_env());
     let t0 = std::time::Instant::now();
     let r = v.verify_pot(pot);
     let status = match &r.status {

@@ -3,16 +3,17 @@
 //! Verifies the POTs named on the command line (every POT when none is
 //! named) with one `Verifier::verify` call, so `TPOT_PATH_JOBS` sets the
 //! path-scheduler worker count and a `TPOT_TRACE` run records a
-//! multi-worker trace.
+//! multi-worker trace. The engine's other `TPOT_*` variables apply too
+//! (`EngineConfig::from_env`).
 
-use tpot_engine::{PotStatus, Verifier, VerifyOptions};
+use tpot_engine::{EngineConfig, PotStatus, Verifier, VerifyOptions};
 
 fn main() {
     let imp = std::fs::read_to_string("targets/pkvm_early_alloc/early_alloc.c").unwrap();
     let spec = std::fs::read_to_string("targets/pkvm_early_alloc/spec.c").unwrap();
     let src = format!("{imp}\n{spec}");
     let m = tpot_ir::lower(&tpot_cfront::compile(&src).unwrap()).unwrap();
-    let v = Verifier::new(m);
+    let v = Verifier::with_config(m, EngineConfig::from_env());
     let only: Vec<String> = std::env::args().skip(1).collect();
     let pots: Vec<String> = v
         .module

@@ -7,11 +7,13 @@
 //! clock for the parallel batch) and total CPU time.
 //!
 //! Usage: `table5 [target-fragment ...]` — default: the three small
-//! targets; pass `all` for all six (long). `TPOT_JOBS` bounds the workers.
+//! targets; pass `all` for all six (long). `TPOT_PATH_JOBS` bounds the
+//! workers.
 
 use std::time::Instant;
 
 use tpot_bench::fmt_dur;
+use tpot_engine::{EngineConfig, Verifier};
 use tpot_targets::all_targets;
 
 fn main() {
@@ -38,7 +40,8 @@ fn main() {
         {
             continue;
         }
-        let verifier = t.verifier().expect("target compiles");
+        let module = t.module().expect("target compiles");
+        let verifier = Verifier::with_config(module, EngineConfig::from_env());
         let wall = Instant::now();
         let results = verifier.verify(&tpot_engine::VerifyOptions::new());
         let ci = wall.elapsed();

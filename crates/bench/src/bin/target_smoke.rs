@@ -1,6 +1,6 @@
 //! Generic target verification harness: `target_smoke <dir> [pot...]`.
 
-use tpot_engine::{PotStatus, Verifier};
+use tpot_engine::{EngineConfig, PotStatus, Verifier};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -29,7 +29,7 @@ fn main() {
         src.push('\n');
     }
     let m = tpot_ir::lower(&tpot_cfront::compile(&src).unwrap_or_else(|e| panic!("{e}"))).unwrap();
-    let v = Verifier::new(m);
+    let v = Verifier::with_config(m, EngineConfig::from_env());
     for pot in v.module.pot_names() {
         if !only.is_empty() && !only.contains(&pot) {
             continue;

@@ -64,23 +64,25 @@ use tpot_ir::{diff, Module};
 use tpot_obs::json::{self, Value};
 use tpot_portfolio::{PotEntry, SharedCache};
 
-/// Server configuration.
+/// Server configuration. A plain value: the library reads no environment
+/// variable; the `tpotd` binary fills this from its flags and `TPOT_*`
+/// variables.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct DaemonConfig {
     /// Bind address (`127.0.0.1:7333` by default; port `0` picks a free
     /// port, reported by [`DaemonHandle::addr`]).
     pub addr: String,
-    /// Proof-cache directory. `None` falls back to `TPOT_CACHE_DIR`, then
-    /// to a purely in-memory cache (the service still coalesces and
-    /// query-caches, but forgets everything on exit).
+    /// Proof-cache directory. `None` = a purely in-memory cache (the
+    /// service still coalesces and query-caches, but forgets everything on
+    /// exit).
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Cache size bound in MiB (`None` = `TPOT_CACHE_MAX_MB`, then the
-    /// built-in 256 MiB default).
+    /// Cache size bound in MiB (`None` = the built-in 256 MiB default).
     pub cache_max_mb: Option<u64>,
-    /// Default path-scheduler worker count for requests that don't set
-    /// `jobs` (`0` = auto).
-    pub default_jobs: usize,
+    /// Base engine configuration of every request; a request may only
+    /// choose its pointer encoding. Its `path_jobs` is the worker count of
+    /// every engine run (`0` = the core count).
+    pub engine: EngineConfig,
 }
 
 impl Default for DaemonConfig {
@@ -89,7 +91,7 @@ impl Default for DaemonConfig {
             addr: "127.0.0.1:7333".to_string(),
             cache_dir: None,
             cache_max_mb: None,
-            default_jobs: 0,
+            engine: EngineConfig::default(),
         }
     }
 }
@@ -118,9 +120,16 @@ impl DaemonConfig {
         self
     }
 
-    /// Sets the default worker count.
+    /// Sets the base engine configuration.
+    pub fn engine(mut self, engine: EngineConfig) -> Self {
+        self.engine = engine;
+        self
+    }
+
+    /// Sets the path-scheduler worker count of every engine run (`0` =
+    /// the core count).
     pub fn default_jobs(mut self, jobs: usize) -> Self {
-        self.default_jobs = jobs;
+        self.engine.path_jobs = jobs;
         self
     }
 }
@@ -154,7 +163,8 @@ struct Inner {
     /// the frontend entirely, leaving the warm path cache-probe-only.
     modules: Mutex<HashMap<u64, Arc<Module>>>,
     started: Instant,
-    default_jobs: usize,
+    /// Base engine configuration of every request.
+    engine: EngineConfig,
     // Service counters for `/v1/status`.
     requests: AtomicU64,
     pots_cached: AtomicU64,
@@ -210,11 +220,7 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, TpotError> {
         .map_err(|e| TpotError::io(format!("bind {} failed: {e}", config.addr)))?;
     let addr = listener.local_addr()?;
 
-    let cache_dir = config
-        .cache_dir
-        .clone()
-        .or_else(|| tpot_obs::config().cache_dir.clone());
-    let mut cache = match &cache_dir {
+    let mut cache = match &config.cache_dir {
         Some(d) => {
             let _ = std::fs::create_dir_all(d);
             tpot_portfolio::ProofCache::open(d.join("proofs.cache"))
@@ -222,7 +228,7 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, TpotError> {
         }
         None => tpot_portfolio::ProofCache::in_memory(),
     };
-    if let Some(mb) = config.cache_max_mb.or(tpot_obs::config().cache_max_mb) {
+    if let Some(mb) = config.cache_max_mb {
         cache = cache.with_max_bytes(mb.saturating_mul(1 << 20));
     }
 
@@ -235,7 +241,7 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, TpotError> {
         last_modules: Mutex::new(HashMap::new()),
         modules: Mutex::new(HashMap::new()),
         started: Instant::now(),
-        default_jobs: config.default_jobs,
+        engine: config.engine,
         requests: AtomicU64::new(0),
         pots_cached: AtomicU64::new(0),
         pots_replayed: AtomicU64::new(0),
@@ -353,12 +359,9 @@ fn run_group(inner: &Arc<Inner>, config_digest: u64, jobs: Vec<Job>) {
             }
         }
     }
-    let worker_jobs = inner.default_jobs;
     let cache = inner.cache.clone();
     let verifier = Verifier::with_config((*module).clone(), config);
-    let opts = tpot_engine::VerifyOptions::new()
-        .pots(union.clone())
-        .jobs(worker_jobs);
+    let opts = tpot_engine::VerifyOptions::new().pots(union.clone());
     // A panicking engine run must not take the daemon down with it.
     let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         verifier.verify_with_cache(&opts, cache.clone())
@@ -584,7 +587,7 @@ fn handle_verify(inner: &Arc<Inner>, body: &str) -> VerifyResponse {
     };
 
     // Engine config for this request.
-    let mut config = EngineConfig::default();
+    let mut config = inner.engine.clone();
     match req.addr_mode.as_deref() {
         Some("bv") => config.addr_mode = AddrMode::Bv,
         Some("int") => config.addr_mode = AddrMode::Int,

@@ -4,13 +4,15 @@
 //! counterexamples (§3.2).
 
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 use tpot_ir::Module;
+use tpot_sat::SatSink;
 use tpot_smt::TermId;
 
-use crate::interp::{AddrMode, EngineConfig, Interp};
+use crate::interp::{EngineConfig, Interp};
 use crate::prov::ProvKind;
 use crate::query::EngineError;
 use crate::state::{NamingMode, PathOutcome, Pledge, RetCont, State};
@@ -129,10 +131,11 @@ pub struct PotResult {
 
 /// Options for a [`Verifier::verify`] run.
 ///
-/// The single verification entry point: every run axis (POT subset,
-/// parallelism, steal seed, cache location, address encoding) is a field
-/// here, with `Default` reproducing the CI-style "all POTs, auto
-/// parallelism, config as constructed" run.
+/// The single verification entry point: every per-run axis (POT subset,
+/// parallelism, steal seed, SAT attribution) is a field here, with
+/// `Default` reproducing the CI-style "all POTs, the config's parallelism"
+/// run. Everything that changes what the engine computes lives in the
+/// verifier's [`EngineConfig`].
 ///
 /// `#[non_exhaustive]` so new run axes can be added without breaking
 /// downstream callers (the daemon and benches construct this through the
@@ -143,23 +146,21 @@ pub struct VerifyOptions {
     /// Verify only these POTs, in this order. `None` verifies every POT in
     /// module order.
     pub pots: Option<Vec<String>>,
-    /// Path-scheduler workers: `0` resolves from the `TPOT_PATH_JOBS`
-    /// environment variable (then `TPOT_JOBS`, then the core count); `1`
+    /// Path-scheduler workers: `0` takes [`EngineConfig::path_jobs`]; `1`
     /// is the deterministic sequential baseline.
     pub jobs: usize,
-    /// Victim-selection seed for the work-stealing scheduler. `None`
-    /// resolves from `TPOT_STEAL_SEED`, falling back to
-    /// [`crate::sched::DEFAULT_STEAL_SEED`]. A fixed `(seed, jobs)` pair
-    /// replays the same steal schedule.
+    /// Victim-selection seed for the work-stealing scheduler. `None` takes
+    /// [`EngineConfig::steal_seed`]. A fixed `(seed, jobs)` pair replays
+    /// the same steal schedule.
     pub steal_seed: Option<u64>,
-    /// Overrides the configured persistent query-cache path for this run.
-    pub cache_path: Option<std::path::PathBuf>,
-    /// Overrides the configured pointer encoding for this run.
-    pub addr_mode: Option<AddrMode>,
+    /// Run-level SAT sink: every solve of the run adds its counter delta
+    /// here at solve time, on top of its per-POT attribution. Unlike the
+    /// process-wide `sat.*` counters it holds only this run's work.
+    pub sat_sink: Option<Arc<SatSink>>,
 }
 
 impl VerifyOptions {
-    /// All POTs, auto parallelism, no overrides.
+    /// All POTs, the config's parallelism, no run sink.
     pub fn new() -> Self {
         Self::default()
     }
@@ -174,7 +175,7 @@ impl VerifyOptions {
         self
     }
 
-    /// Sets the worker-thread count (`0` = auto, `1` = sequential).
+    /// Sets the worker-thread count (`0` = the config's, `1` = sequential).
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
         self
@@ -186,15 +187,9 @@ impl VerifyOptions {
         self
     }
 
-    /// Overrides the persistent query-cache path.
-    pub fn cache_path(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.cache_path = Some(path.into());
-        self
-    }
-
-    /// Overrides the pointer encoding.
-    pub fn addr_mode(mut self, mode: AddrMode) -> Self {
-        self.addr_mode = Some(mode);
+    /// Collects the run's SAT totals in `sink`.
+    pub fn sat_sink(mut self, sink: Arc<SatSink>) -> Self {
+        self.sat_sink = Some(sink);
         self
     }
 }
@@ -223,35 +218,19 @@ impl Verifier {
 
     /// The single verification entry point: schedules the paths of every
     /// selected POT onto one shared work-stealing pool of `jobs` workers
-    /// (see [`crate::sched`]), all sharing one persistent query cache,
-    /// applying any per-run config overrides from `opts`.
+    /// (see [`crate::sched`]), all sharing one persistent query cache.
     ///
     /// Results come back in POT order regardless of `opts.jobs`, with the
     /// same statuses, violations, and path counts a sequential run would
     /// produce — only wall-clock and cache-hit accounting differ. With
     /// `jobs: 1` the run is the deterministic sequential baseline.
     pub fn verify(&self, opts: &VerifyOptions) -> Vec<PotResult> {
-        let config = self.effective_config(opts);
-        let cache = Self::open_cache(&config);
+        let cache = Self::open_cache(&self.config);
         let results = self.verify_with_cache(opts, cache.clone());
         // Flush once at the end instead of per-POT (engine drops only
         // release their handle on the shared cache).
         let _ = cache.lock().flush();
         results
-    }
-
-    /// The engine configuration a run with `opts` would actually use: the
-    /// verifier's own config with the per-run overrides applied. The daemon
-    /// uses this to compute cache-key digests without starting a run.
-    pub fn effective_config(&self, opts: &VerifyOptions) -> EngineConfig {
-        let mut config = self.config.clone();
-        if let Some(p) = &opts.cache_path {
-            config.cache_path = Some(p.clone());
-        }
-        if let Some(m) = opts.addr_mode {
-            config.addr_mode = m;
-        }
-        config
     }
 
     /// [`Verifier::verify`] against a caller-owned cache handle. The daemon
@@ -263,29 +242,18 @@ impl Verifier {
         opts: &VerifyOptions,
         cache: tpot_portfolio::SharedCache,
     ) -> Vec<PotResult> {
-        let config = self.effective_config(opts);
         let pots: Vec<String> = match &opts.pots {
             Some(p) => p.clone(),
             None => self.module.pot_names(),
         };
-        let jobs = if opts.jobs > 0 {
-            opts.jobs
-        } else {
-            // `TPOT_PATH_JOBS` sizes the path scheduler; `TPOT_JOBS` is
-            // honored as the older, coarser knob. Both are parsed once
-            // into the typed obs config.
-            let obs = tpot_obs::config();
-            obs.path_jobs.or(obs.jobs).unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            })
+        let jobs = match (opts.jobs, self.config.path_jobs) {
+            (0, 0) => std::thread::available_parallelism().map_or(4, |n| n.get()),
+            (0, configured) => configured,
+            (run, _) => run,
         };
-        let seed = opts
-            .steal_seed
-            .or_else(|| tpot_obs::config().steal_seed)
-            .unwrap_or(crate::sched::DEFAULT_STEAL_SEED);
-        let results = crate::sched::run_verify(self, &config, &pots, cache, jobs, seed);
+        let seed = opts.steal_seed.unwrap_or(self.config.steal_seed);
+        let results =
+            crate::sched::run_verify(self, &pots, cache, opts.sat_sink.as_ref(), jobs, seed);
         if let Some(p) = &tpot_obs::config().profile_path {
             // One collapsed-stack file across every verified POT: each
             // line is `pot;ε;<fork indices> <exclusive solver µs>`, ready
@@ -301,23 +269,15 @@ impl Verifier {
         results
     }
 
-    /// Opens the persistent cache configured in `config` behind a shareable
-    /// handle. Resolution order: the explicit `cache_path`, then
-    /// `TPOT_CACHE_DIR/proofs.cache` (the daemon's default layout), then an
-    /// in-memory cache.
+    /// Opens the persistent cache at `config.cache_path` (an in-memory
+    /// cache when unset or unreadable) behind a shareable handle.
     pub fn open_cache(config: &EngineConfig) -> tpot_portfolio::SharedCache {
-        let path = config.cache_path.clone().or_else(|| {
-            tpot_obs::config()
-                .cache_dir
-                .as_ref()
-                .map(|d| d.join("proofs.cache"))
-        });
-        let cache = match path {
+        let cache = match &config.cache_path {
             Some(p) => tpot_portfolio::ProofCache::open(p)
                 .unwrap_or_else(|_| tpot_portfolio::ProofCache::in_memory()),
             None => tpot_portfolio::ProofCache::in_memory(),
         };
-        std::sync::Arc::new(Mutex::new(cache))
+        Arc::new(Mutex::new(cache))
     }
 
     /// Verifies one POT, proving the §4.1 top-level theorem for it — the

@@ -31,13 +31,17 @@ use std::collections::VecDeque;
 use tpot_ir::{IrFunc, Module};
 pub use tpot_mem::AddrMode;
 use tpot_mem::Memory;
-use tpot_portfolio::{Portfolio, ProofCache};
+use tpot_portfolio::Portfolio;
 use tpot_smt::{TermArena, TermId};
+use tpot_solver::SolverConfig;
 
 use crate::query::{EngineError, QueryCtx};
 use crate::state::{Frame, NamingMode, PathOutcome, Pending, RetCont, State};
 
-/// Engine configuration.
+/// Engine configuration: every knob that changes what the engine or the
+/// solver computes, plus the run defaults a binary reads from its
+/// environment. A plain value — nothing here reads process-global state;
+/// binaries build one with [`EngineConfig::from_env`].
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Pointer encoding: the paper's integer encoding or the naive
@@ -51,9 +55,34 @@ pub struct EngineConfig {
     /// Route queries through incremental [`tpot_solver::SolveSession`]s
     /// (push/pop along the path prefix, bit-blast reuse). Only engages for
     /// single-instance portfolios; racing portfolios fall back to one-shot
-    /// checks regardless. Disabling it is an ablation.
+    /// checks regardless. Disabling it is an ablation (`TPOT_INCREMENTAL`).
     pub incremental: bool,
-    /// Optional persistent query-cache path (§4.4).
+    /// SAT inprocessing between solves: bounded variable elimination,
+    /// subsumption and vivification (`TPOT_INPROCESS`).
+    pub inprocess: bool,
+    /// DRAT proof logging in the SAT core, with every Unsat replayed
+    /// through the independent RUP checker (`TPOT_PROOF`). Costs memory
+    /// proportional to the number of learned clauses.
+    pub proof: bool,
+    /// Proof-effort blame (`TPOT_BLAME`): provenance tagging of asserted
+    /// assumptions, assumption-core extraction on proved POTs, and
+    /// conflict-participation tracking of activation literals. Costs a
+    /// scan per learned clause.
+    pub blame: bool,
+    /// Per-solve conflict budget of every SAT instance; search gives up
+    /// with `Unknown` once exhausted (`None` = unlimited). Ablations use it
+    /// to bound otherwise-divergent baselines deterministically.
+    pub sat_conflict_limit: Option<u64>,
+    /// Path-scheduler workers when a run does not set
+    /// [`VerifyOptions::jobs`](crate::VerifyOptions) (`TPOT_PATH_JOBS`;
+    /// `0` = the core count, `1` = the deterministic sequential baseline).
+    pub path_jobs: usize,
+    /// Victim-selection seed of the work-stealing scheduler when a run
+    /// does not set one (`TPOT_STEAL_SEED`). Same seed and worker count ⇒
+    /// same steal schedule.
+    pub steal_seed: u64,
+    /// Optional persistent query-cache path (§4.4); `TPOT_CACHE_DIR`
+    /// selects `proofs.cache` inside that directory.
     pub cache_path: Option<std::path::PathBuf>,
     /// Safety valve: maximum number of live forked states.
     pub max_states: usize,
@@ -74,15 +103,60 @@ impl Default for EngineConfig {
             addr_mode: AddrMode::Int,
             simplifier: true,
             portfolio_size: 1,
-            // On by default; `TPOT_INCREMENTAL=0` (via the typed obs
-            // config) is the environment-level ablation switch.
-            incremental: tpot_obs::config().incremental.unwrap_or(true),
+            incremental: true,
+            inprocess: true,
+            proof: false,
+            blame: false,
+            sat_conflict_limit: None,
+            path_jobs: 0,
+            steal_seed: crate::sched::DEFAULT_STEAL_SEED,
             cache_path: None,
             max_states: 4096,
             max_insts: 2_000_000,
             max_havoc_bytes: 1 << 16,
             init_marker: "init".into(),
         }
+    }
+}
+
+impl EngineConfig {
+    /// The default configuration with the engine's `TPOT_*` variables
+    /// applied: `TPOT_INCREMENTAL`, `TPOT_INPROCESS`, `TPOT_PROOF`,
+    /// `TPOT_BLAME`, `TPOT_PATH_JOBS`, `TPOT_STEAL_SEED` and
+    /// `TPOT_CACHE_DIR`. Called once, at a binary's edge; libraries take
+    /// the resulting value and never read the environment themselves.
+    pub fn from_env() -> Self {
+        use tpot_obs::env;
+        let d = EngineConfig::default();
+        EngineConfig {
+            incremental: env::toggle("TPOT_INCREMENTAL").unwrap_or(d.incremental),
+            inprocess: env::toggle("TPOT_INPROCESS").unwrap_or(d.inprocess),
+            proof: env::toggle("TPOT_PROOF").unwrap_or(d.proof),
+            blame: env::toggle("TPOT_BLAME").unwrap_or(d.blame),
+            path_jobs: env::count("TPOT_PATH_JOBS").unwrap_or(d.path_jobs),
+            steal_seed: env::number("TPOT_STEAL_SEED").unwrap_or(d.steal_seed),
+            cache_path: env::path("TPOT_CACHE_DIR").map(|dir| dir.join("proofs.cache")),
+            ..d
+        }
+    }
+
+    /// The portfolio's instance configurations: one default instance, or
+    /// `portfolio_size` diversified ones, all with this config's SAT knobs.
+    /// The engine builds its portfolio from these, and [`outcome_digest`]
+    /// keys on them, so a cache key always describes the solver that ran.
+    pub fn solver_configs(&self) -> Vec<SolverConfig> {
+        let mut configs = if self.portfolio_size <= 1 {
+            vec![SolverConfig::default()]
+        } else {
+            SolverConfig::portfolio(self.portfolio_size)
+        };
+        for c in &mut configs {
+            c.sat.inprocess = self.inprocess;
+            c.sat.proof = self.proof;
+            c.sat.blame = self.blame;
+            c.sat.conflict_limit = self.sat_conflict_limit;
+        }
+        configs
     }
 }
 
@@ -113,14 +187,9 @@ pub fn solver_cache_digest(config: &EngineConfig) -> u64 {
 /// budget is not the same claim as one proved under a larger one.
 pub fn outcome_digest(config: &EngineConfig) -> u64 {
     use tpot_portfolio::{fnv1a, mix, portfolio_config_digest};
-    let configs = if config.portfolio_size <= 1 {
-        vec![tpot_solver::SolverConfig::default()]
-    } else {
-        tpot_solver::SolverConfig::portfolio(config.portfolio_size)
-    };
     let mut h = fnv1a(b"tpot-outcome-config/v1");
     h = mix(h, solver_cache_digest(config));
-    h = mix(h, portfolio_config_digest(&configs));
+    h = mix(h, portfolio_config_digest(&config.solver_configs()));
     h = mix(h, config.max_states as u64);
     h = mix(h, config.max_insts);
     h = mix(h, config.max_havoc_bytes);
@@ -152,11 +221,7 @@ impl<'m> ExecCtx<'m> {
         // and validity queries recur across forked sibling paths and
         // end-of-POT checks. With a cache_path the cache additionally
         // persists across CI runs (§4.4).
-        let cache = match &config.cache_path {
-            Some(p) => ProofCache::open(p).unwrap_or_else(|_| ProofCache::in_memory()),
-            None => ProofCache::in_memory(),
-        };
-        let cache = std::sync::Arc::new(parking_lot::Mutex::new(cache));
+        let cache = crate::Verifier::open_cache(&config);
         Self::with_shared_cache(module, config, cache)
     }
 
@@ -168,21 +233,18 @@ impl<'m> ExecCtx<'m> {
         config: EngineConfig,
         cache: tpot_portfolio::SharedCache,
     ) -> Self {
-        let portfolio = if config.portfolio_size <= 1 {
-            Portfolio::single()
-        } else {
-            Portfolio::with_instances(config.portfolio_size)
-        };
         // Salt the cache key with the engine-level knobs: an outcome
         // recorded under one addr-mode/session/portfolio configuration
         // must never answer a query issued under another.
-        let portfolio = portfolio
+        let portfolio = Portfolio::new(config.solver_configs())
             .with_config_salt(solver_cache_digest(&config))
             .with_shared_cache(cache);
         ExecCtx {
             module,
             arena: TermArena::new(),
-            solver: QueryCtx::new(portfolio).with_incremental(config.incremental),
+            solver: QueryCtx::new(portfolio)
+                .with_incremental(config.incremental)
+                .with_blame(config.blame),
             config,
             insts_executed: 0,
         }

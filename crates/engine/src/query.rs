@@ -90,18 +90,19 @@ pub struct QueryCtx {
     /// when no handoff is pending; `Some(0)` (nothing inherited — e.g. a
     /// migrated root) records no handoff.
     handoff_inherited: Option<u64>,
-    /// Proof-effort blame enabled (`TPOT_BLAME`): provenance tags are
-    /// stored and Unsat answers feed assumption cores + participation
-    /// counts into `blame`. Off by default — tagging and feedback are
-    /// no-ops with zero overhead.
+    /// Proof-effort blame enabled (`EngineConfig::blame`): provenance
+    /// tags are stored and Unsat answers feed assumption cores +
+    /// participation counts into `blame`. Off by default — tagging and
+    /// feedback are no-ops with zero overhead.
     blame_on: bool,
     /// Per-shard blame accumulator (tags + per-term effort counts).
     blame: BlameAcc,
 }
 
 impl QueryCtx {
-    /// Wraps a portfolio. Incremental sessions start disabled; enable them
-    /// with [`with_incremental`](Self::with_incremental).
+    /// Wraps a portfolio. Incremental sessions and blame start disabled;
+    /// enable them with [`with_incremental`](Self::with_incremental) and
+    /// [`with_blame`](Self::with_blame).
     pub fn new(portfolio: Portfolio) -> Self {
         QueryCtx {
             portfolio,
@@ -109,7 +110,7 @@ impl QueryCtx {
             incremental: false,
             taken: FoldMark::default(),
             handoff_inherited: None,
-            blame_on: tpot_obs::config().blame.unwrap_or(false),
+            blame_on: false,
             blame: BlameAcc::default(),
         }
     }
@@ -138,6 +139,14 @@ impl QueryCtx {
     /// don't apply (racing portfolios, session `Unknown`, solver errors).
     pub fn with_incremental(mut self, incremental: bool) -> Self {
         self.incremental = incremental;
+        self
+    }
+
+    /// Enables (or disables) provenance tagging and blame feedback. The
+    /// engine sets this from [`EngineConfig::blame`](crate::interp::EngineConfig),
+    /// together with the SAT core's conflict-participation tracking.
+    pub fn with_blame(mut self, blame: bool) -> Self {
+        self.blame_on = blame;
         self
     }
 

@@ -35,21 +35,22 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
+use tpot_sat::SatSink;
 
 use crate::driver::{PotResult, PotStatus, Verifier, Violation};
 use crate::frontier::{PathId, PathTask, Shard, TaskPhase};
-use crate::interp::{EngineConfig, ExecCtx};
+use crate::interp::ExecCtx;
 use crate::profile::{PathProfile, PathSample};
 use crate::prov::BlameEntry;
 use crate::query::EngineError;
 use crate::state::{PathOutcome, Pending, RetCont, State};
 use crate::stats::Stats;
 
-/// Default victim-selection seed when neither `VerifyOptions::steal_seed`
-/// nor `TPOT_STEAL_SEED` is set.
+/// Default victim-selection seed ([`crate::EngineConfig::steal_seed`]).
 pub const DEFAULT_STEAL_SEED: u64 = 0x7E07_5EED;
 
 /// Per-worker deterministic victim selector (xorshift64), seeded from the
@@ -617,12 +618,15 @@ fn drain_shard<'m>(shard: &Shard<'m>, pid: &PathId, total: &mut Stats, profile: 
 /// non-initializer POTs) the queued invariant assumptions (paper §3.1).
 fn make_root<'m>(
     v: &'m Verifier,
-    config: &EngineConfig,
     pot: &str,
     cache: tpot_portfolio::SharedCache,
+    run_sink: Option<&Arc<SatSink>>,
     ix: usize,
 ) -> Result<PathTask<'m>, EngineError> {
-    let mut ctx = ExecCtx::with_shared_cache(&v.module, config.clone(), cache);
+    let mut ctx = ExecCtx::with_shared_cache(&v.module, v.config.clone(), cache);
+    if let Some(run) = run_sink {
+        ctx.solver.portfolio.set_run_sink(run.clone());
+    }
     let is_init = pot.contains(&ctx.config.init_marker);
     let mem = ctx.initial_memory(is_init)?;
     let mut state = State::new(mem);
@@ -649,11 +653,12 @@ fn make_root<'m>(
 /// Verifies `pots` on `jobs` workers sharing one task pool: the engine of
 /// [`Verifier::verify`]. Results come back in POT order with the same
 /// statuses, violations, and path counts a sequential run would produce.
+/// Every shard's solves also land in `run_sink`, when given.
 pub(crate) fn run_verify(
     v: &Verifier,
-    config: &EngineConfig,
     pots: &[String],
     cache: tpot_portfolio::SharedCache,
+    run_sink: Option<&Arc<SatSink>>,
     jobs: usize,
     seed: u64,
 ) -> Vec<PotResult> {
@@ -662,8 +667,8 @@ pub(crate) fn run_verify(
         deques: (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect(),
         pots: pots.iter().map(|p| PotRun::new(p.clone())).collect(),
         remaining: AtomicUsize::new(0),
-        max_states: config.max_states,
-        max_insts: config.max_insts,
+        max_states: v.config.max_states,
+        max_insts: v.config.max_insts,
         status_path: tpot_obs::config().status_path.clone(),
         started: Instant::now(),
         status_stamp: AtomicU64::new(0),
@@ -671,7 +676,7 @@ pub(crate) fn run_verify(
     let mut roots = Vec::new();
     for (i, pot) in pots.iter().enumerate() {
         let t0 = Instant::now();
-        match make_root(v, config, pot, cache.clone(), i) {
+        match make_root(v, pot, cache.clone(), run_sink, i) {
             Ok(task) => roots.push(task),
             Err(e) => {
                 // The POT never produces a task; publish its error result

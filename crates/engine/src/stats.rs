@@ -147,10 +147,11 @@ pub struct Stats {
 impl Stats {
     /// Folds one shard-sink delta ([`tpot_sat::SolveStats`]) into the
     /// `sat_*` fields. This is the only way sat counters enter a [`Stats`]
-    /// record; the process-wide `sat.*` registry counters receive the same
-    /// deltas from the solver, so summing every record's `sat_*` over a run
-    /// reproduces the registry delta exactly (the conservation invariant
-    /// the `counter_parity` fuzz mode checks).
+    /// record; a run-level sink (`VerifyOptions::sat_sink`) and the
+    /// process-wide `sat.*` registry counters receive the same deltas from
+    /// the solver, so summing every record's `sat_*` over a run reproduces
+    /// the run sink's total exactly (the conservation invariant the
+    /// `counter_parity` fuzz mode checks).
     pub fn add_sat_delta(&mut self, d: tpot_sat::SolveStats) {
         self.sat_solves += d.solves;
         self.sat_conflicts += d.conflicts;
@@ -162,6 +163,22 @@ impl Stats {
         self.sat_subsumed += d.subsumed;
         self.sat_vivified_lits += d.vivified_lits;
         self.sat_proof_lines += d.proof_lines;
+    }
+
+    /// The `sat_*` fields as one [`tpot_sat::SolveStats`].
+    pub fn sat(&self) -> tpot_sat::SolveStats {
+        tpot_sat::SolveStats {
+            solves: self.sat_solves,
+            conflicts: self.sat_conflicts,
+            decisions: self.sat_decisions,
+            propagations: self.sat_propagations,
+            restarts: self.sat_restarts,
+            learned: self.sat_learned,
+            eliminated_vars: self.sat_eliminated_vars,
+            subsumed: self.sat_subsumed,
+            vivified_lits: self.sat_vivified_lits,
+            proof_lines: self.sat_proof_lines,
+        }
     }
 
     /// Adds solver time to the bucket for `purpose`.

@@ -2,7 +2,7 @@
 //! POTs, same order, same statuses — only wall-clock and cache accounting
 //! may differ.
 
-use tpot_engine::{PotStatus, Verifier, VerifyOptions};
+use tpot_engine::{EngineConfig, PotStatus, Verifier, VerifyOptions};
 use tpot_ir::lower;
 
 /// Fig. 1 extended with extra POTs (one of them failing) so the parallel
@@ -81,20 +81,18 @@ fn parallel_matches_sequential() {
 }
 
 #[test]
-fn verify_options_subset_and_overrides() {
-    let m = module();
-    let v = Verifier::new(m);
-    let sub = v.verify(&VerifyOptions::new().pots(["spec__get_sum"]).jobs(1));
+fn verify_options_subset_and_addr_modes() {
+    let only_get_sum = VerifyOptions::new().pots(["spec__get_sum"]).jobs(1);
+    let sub = Verifier::new(module()).verify(&only_get_sum);
     assert_eq!(sub.len(), 1);
     assert_eq!(sub[0].pot, "spec__get_sum");
     assert!(sub[0].status.is_proved());
-    // Per-run addr-mode override: the bitvector ablation must agree.
-    let bv = v.verify(
-        &VerifyOptions::new()
-            .pots(["spec__get_sum"])
-            .jobs(1)
-            .addr_mode(tpot_engine::AddrMode::Bv),
-    );
+    // The bitvector ablation must agree.
+    let bv = EngineConfig {
+        addr_mode: tpot_engine::AddrMode::Bv,
+        ..EngineConfig::default()
+    };
+    let bv = Verifier::with_config(module(), bv).verify(&only_get_sum);
     assert!(bv[0].status.is_proved());
 }
 

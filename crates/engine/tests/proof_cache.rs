@@ -39,6 +39,15 @@ fn cache_file(tag: &str) -> std::path::PathBuf {
     p
 }
 
+/// A verifier over a fresh module instance, persisting to `path`.
+fn verifier(path: &std::path::Path, config: EngineConfig) -> Verifier {
+    let config = EngineConfig {
+        cache_path: Some(path.to_path_buf()),
+        ..config
+    };
+    Verifier::with_config(module(), config)
+}
+
 fn totals(results: &[tpot_engine::PotResult]) -> (u64, u64) {
     let hits = results.iter().map(|r| r.stats.cache_hits).sum();
     let misses = results.iter().map(|r| r.stats.cache_misses).sum();
@@ -51,16 +60,16 @@ fn totals(results: &[tpot_engine::PotResult]) -> (u64, u64) {
 #[test]
 fn persistent_round_trip_replays_with_full_hit_rate() {
     let path = cache_file("roundtrip");
-    let opts = VerifyOptions::new().jobs(1).cache_path(&path);
+    let opts = VerifyOptions::new().jobs(1);
 
-    let cold = Verifier::new(module()).verify(&opts);
+    let cold = verifier(&path, EngineConfig::default()).verify(&opts);
     assert!(cold.iter().all(|r| matches!(r.status, PotStatus::Proved)));
     let (_, cold_misses) = totals(&cold);
     assert!(cold_misses > 0, "cold run must actually solve something");
     assert!(path.exists(), "verify() flushes the cache on exit");
 
     // "Restart": a brand-new verifier and module instance, same file.
-    let warm = Verifier::new(module()).verify(&opts);
+    let warm = verifier(&path, EngineConfig::default()).verify(&opts);
     assert!(warm.iter().all(|r| matches!(r.status, PotStatus::Proved)));
     let (warm_hits, warm_misses) = totals(&warm);
     assert_eq!(warm_misses, 0, "100% hit rate on the unchanged module");
@@ -81,13 +90,13 @@ fn persistent_round_trip_replays_with_full_hit_rate() {
 #[test]
 fn non_incremental_run_cannot_consume_incremental_entries() {
     let path = cache_file("cfg_isolation");
-    let opts = VerifyOptions::new().jobs(1).cache_path(&path);
+    let opts = VerifyOptions::new().jobs(1);
 
     let inc_cfg = EngineConfig {
         incremental: true,
         ..EngineConfig::default()
     };
-    let first = Verifier::with_config(module(), inc_cfg).verify(&opts);
+    let first = verifier(&path, inc_cfg).verify(&opts);
     let (_, first_misses) = totals(&first);
     assert!(first_misses > 0);
 
@@ -95,7 +104,7 @@ fn non_incremental_run_cannot_consume_incremental_entries() {
         incremental: false,
         ..EngineConfig::default()
     };
-    let second = Verifier::with_config(module(), plain_cfg).verify(&opts);
+    let second = verifier(&path, plain_cfg).verify(&opts);
     assert!(second.iter().all(|r| matches!(r.status, PotStatus::Proved)));
     let (second_hits, second_misses) = totals(&second);
     assert_eq!(
@@ -110,7 +119,7 @@ fn non_incremental_run_cannot_consume_incremental_entries() {
         incremental: false,
         ..EngineConfig::default()
     };
-    let third = Verifier::with_config(module(), again_cfg).verify(&opts);
+    let third = verifier(&path, again_cfg).verify(&opts);
     let (third_hits, third_misses) = totals(&third);
     assert_eq!(third_misses, 0);
     assert!(third_hits > 0, "same config replays fine");
@@ -124,16 +133,16 @@ fn non_incremental_run_cannot_consume_incremental_entries() {
 fn addr_modes_do_not_share_cache_entries() {
     let path = cache_file("addr_mode_isolation");
 
-    let int_opts = VerifyOptions::new().jobs(1).cache_path(&path);
-    let first = Verifier::new(module()).verify(&int_opts);
+    let opts = VerifyOptions::new().jobs(1);
+    let first = verifier(&path, EngineConfig::default()).verify(&opts);
     let (_, first_misses) = totals(&first);
     assert!(first_misses > 0);
 
-    let bv_opts = VerifyOptions::new()
-        .jobs(1)
-        .cache_path(&path)
-        .addr_mode(tpot_engine::AddrMode::Bv);
-    let second = Verifier::new(module()).verify(&bv_opts);
+    let bv = EngineConfig {
+        addr_mode: tpot_engine::AddrMode::Bv,
+        ..EngineConfig::default()
+    };
+    let second = verifier(&path, bv).verify(&opts);
     let (second_hits, _) = totals(&second);
     assert_eq!(second_hits, 0, "bv run must not replay int-mode entries");
 

@@ -49,8 +49,8 @@ pub enum Mode {
     /// per-POT statuses, violations, and path counts.
     SchedParity,
     /// SAT-counter conservation: per-POT attributed solver counters must
-    /// sum to exactly the process-wide `sat.*` registry delta, at any
-    /// worker count.
+    /// sum to exactly the run's total, collected by a run-level SAT sink,
+    /// at any worker count.
     CounterParity,
 }
 

@@ -12,7 +12,10 @@
 //! depend on session history, while everything the verdict depends on may
 //! not.
 
+use std::sync::Arc;
+
 use tpot_engine::{PotStatus, Verifier, VerifyOptions};
+use tpot_sat::{SatSink, SolveStats};
 
 use crate::rng::Rng;
 
@@ -95,15 +98,15 @@ fn outcome_key(results: &[tpot_engine::PotResult]) -> Vec<String> {
 /// One round of SAT-counter conservation: verify a random module with a
 /// random worker count and demand that the per-POT solver counters (the
 /// per-shard sink deltas summed into each `PotResult`) add up to exactly
-/// the process-wide `sat.*` registry delta over the run.
+/// the run's total in every field, collected by a run-level sink that
+/// every shard sink forwards to at solve time.
 ///
 /// Both totals receive the same per-`solve` deltas from the same solver
 /// instances, so any discrepancy means attribution lost or double-counted
 /// a shard's work (a drain race, a missed fork boundary, a stolen task's
-/// counters landing twice). Exact at any worker count — this is the
-/// "attribution is exact only at jobs=1" caveat, retired. The check
-/// assumes no *other* thread is solving concurrently (true in the fuzz
-/// binary, where modes run one at a time).
+/// counters landing twice). Exact at any worker count, and while other
+/// runs solve concurrently in the same process: the run sink holds only
+/// this run's work.
 pub fn counter_parity(rng: &mut Rng) -> Result<(), String> {
     let src = gen_src(rng);
     let checked = tpot_cfront::compile(&src)
@@ -113,31 +116,23 @@ pub fn counter_parity(rng: &mut Rng) -> Result<(), String> {
     let v = Verifier::new(module);
     let jobs = 1 + rng.below(4) as usize;
     let seed = rng.next_u64();
-    // (registry key, per-POT extractor) — the counters the solver publishes
-    // per solve and the engine attributes per shard.
-    type Field = (&'static str, fn(&tpot_engine::Stats) -> u64);
-    const FIELDS: [Field; 6] = [
-        ("sat.solves", |s| s.sat_solves),
-        ("sat.conflicts", |s| s.sat_conflicts),
-        ("sat.decisions", |s| s.sat_decisions),
-        ("sat.propagations", |s| s.sat_propagations),
-        ("sat.restarts", |s| s.sat_restarts),
-        ("sat.learned_clauses", |s| s.sat_learned),
-    ];
-    let before: Vec<u64> = FIELDS
-        .iter()
-        .map(|(k, _)| tpot_obs::metrics::counter(k).get())
-        .collect();
-    let results = v.verify(&VerifyOptions::new().jobs(jobs).steal_seed(seed));
-    for (i, (key, field)) in FIELDS.iter().enumerate() {
-        let global = tpot_obs::metrics::counter(key).get() - before[i];
-        let attributed: u64 = results.iter().map(|r| field(&r.stats)).sum();
-        if attributed != global {
-            return Err(format!(
-                "counter conservation violated for {key} (jobs {jobs}, steal seed {seed:#x}): \
-                 per-POT sum {attributed} != global delta {global}\nprogram:\n{src}"
-            ));
-        }
+    let run = Arc::new(SatSink::default());
+    let results = v.verify(
+        &VerifyOptions::new()
+            .jobs(jobs)
+            .steal_seed(seed)
+            .sat_sink(run.clone()),
+    );
+    let mut attributed = SolveStats::default();
+    for r in &results {
+        attributed.add(r.stats.sat());
+    }
+    let total = run.load();
+    if attributed != total {
+        return Err(format!(
+            "counter conservation violated (jobs {jobs}, steal seed {seed:#x}): \
+             per-POT sums {attributed:?} != run totals {total:?}\nprogram:\n{src}"
+        ));
     }
     Ok(())
 }

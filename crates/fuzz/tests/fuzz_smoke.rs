@@ -78,16 +78,16 @@ fn tracing_does_not_change_fuzz_outcomes() {
     let mut cfg = RunConfig::new(120, 7);
     cfg.write_repros = false;
 
-    tpot_obs::configure(tpot_obs::ObsConfig::default());
+    tpot_obs::configure(tpot_obs::Config::default());
     let quiet = run(&cfg);
 
-    tpot_obs::configure(tpot_obs::ObsConfig {
+    tpot_obs::configure(tpot_obs::Config {
         collect_spans: true,
         ..Default::default()
     });
     let traced = run(&cfg);
     let events = tpot_obs::take_events();
-    tpot_obs::configure(tpot_obs::ObsConfig::default());
+    tpot_obs::configure(tpot_obs::Config::default());
 
     assert!(
         !events.is_empty(),

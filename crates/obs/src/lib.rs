@@ -28,6 +28,7 @@
 //! instrumentation only observes. Tracing defaults off; a single relaxed
 //! atomic load guards every span site.
 
+pub mod env;
 pub mod json;
 pub mod metrics;
 pub mod span;
@@ -66,17 +67,18 @@ impl Level {
     }
 }
 
-/// The single typed home of every `TPOT_*` runtime knob.
+/// The typed home of the observability sinks' `TPOT_*` knobs.
 ///
 /// The environment is parsed exactly once — in [`Config::from_env`], on
-/// first obs use — and every subsystem reads the parsed value from the
-/// active config ([`config`]) instead of re-reading `std::env`: the obs
-/// sinks and watchdog here, the portfolio's worker-pool sizing
-/// (`TPOT_POOL_THREADS`), the multi-POT driver's job count (`TPOT_JOBS`),
-/// and the engine's incremental-session toggle (`TPOT_INCREMENTAL`).
-/// Harnesses and tests override programmatically with the builder methods
-/// plus [`configure`]. The full knob table lives in the README
-/// ("Runtime knobs").
+/// first obs use — and the sinks read the parsed value from the active
+/// config ([`config`]) instead of re-reading `std::env`: the trace, span
+/// and metric exporters, the log level, the slow-query watchdog, and the
+/// engine's status and path-profile files. Knobs that change what the
+/// engine or solver computes are not here: they are fields of the
+/// engine's `EngineConfig`, read from the environment only at a binary's
+/// edge (with the [`env`](mod@env) helpers). Harnesses and tests override
+/// programmatically with the builder methods plus [`configure`]. The full
+/// knob table lives in the README ("Runtime knobs").
 #[derive(Clone, Debug, Default)]
 pub struct Config {
     /// Chrome-trace (Perfetto-loadable) output path (`TPOT_TRACE`).
@@ -95,47 +97,6 @@ pub struct Config {
     /// Force span collection even without an output path (tests and
     /// harnesses that read events programmatically via [`take_events`]).
     pub collect_spans: bool,
-    /// Solver worker-pool size (`TPOT_POOL_THREADS`); `None` = core count.
-    pub pool_threads: Option<usize>,
-    /// Parallel POT jobs in the multi-POT driver (`TPOT_JOBS`); `None` =
-    /// core count.
-    pub jobs: Option<usize>,
-    /// Workers in the path-level work-stealing scheduler
-    /// (`TPOT_PATH_JOBS`); `None` falls back to `TPOT_JOBS`, then core
-    /// count. `1` degenerates to the sequential depth-first order.
-    pub path_jobs: Option<usize>,
-    /// Seed for the scheduler's deterministic victim selection
-    /// (`TPOT_STEAL_SEED`); `None` = the engine default. Two runs with the
-    /// same seed and worker count make the same steal decisions.
-    pub steal_seed: Option<u64>,
-    /// Incremental solve sessions in the engine (`TPOT_INCREMENTAL`,
-    /// `0|false|off` / `1|true|on`); `None` = the engine's default (on).
-    pub incremental: Option<bool>,
-    /// SAT inprocessing — bounded variable elimination, subsumption and
-    /// vivification between solves (`TPOT_INPROCESS`); `None` = the
-    /// solver's default (on).
-    pub inprocess: Option<bool>,
-    /// DRAT proof logging in the SAT core (`TPOT_PROOF`); `None` = the
-    /// solver's default (off — logging costs memory proportional to the
-    /// number of learned clauses).
-    pub proof: Option<bool>,
-    /// LBD at or below which a learned clause is *core* — never deleted
-    /// (`TPOT_LBD_CORE`); `None` = the solver's default (2).
-    pub lbd_core: Option<u32>,
-    /// LBD at or below which a learned clause is *mid-tier* — kept while
-    /// recently used (`TPOT_LBD_MID`); `None` = the solver's default (6).
-    pub lbd_mid: Option<u32>,
-    /// Conflict budget for the full-strength SAT instance
-    /// (`TPOT_SAT_CONFLICTS`); search gives up with `Unknown` once
-    /// exhausted. `None` = unlimited. Benchmark ablations use this to
-    /// bound otherwise-divergent baselines deterministically.
-    pub sat_conflict_limit: Option<u64>,
-    /// Proof-effort blame (`TPOT_BLAME`): provenance tagging of asserted
-    /// assumptions, assumption-core extraction on proved POTs, and
-    /// conflict-participation tracking of activation literals; `None` =
-    /// the engine's default (off — tracking costs a scan per learned
-    /// clause).
-    pub blame: Option<bool>,
     /// Live status snapshot path (`TPOT_STATUS`): the path scheduler
     /// periodically rewrites this file (atomic temp+rename, like every
     /// other sink) with the in-flight POTs, path counts and queue depths.
@@ -144,27 +105,11 @@ pub struct Config {
     /// driver writes the fork tree weighted by exclusive solver time in
     /// collapsed-stack (flamegraph) format to this path.
     pub profile_path: Option<PathBuf>,
-    /// Persistent proof-cache directory (`TPOT_CACHE_DIR`): the engine
-    /// driver and `tpotd` open `proofs.cache` inside it when no explicit
-    /// cache path is configured. `None` = in-memory caching only.
-    pub cache_dir: Option<PathBuf>,
-    /// Persistent proof-cache size bound in MiB (`TPOT_CACHE_MAX_MB`);
-    /// entries are evicted least-recently-used once the serialized cache
-    /// would exceed it. `None` = the cache's default (256 MiB).
-    pub cache_max_mb: Option<u64>,
 }
-
-/// The historical name of [`Config`].
-pub type ObsConfig = Config;
 
 impl Config {
     /// Reads the configuration from `TPOT_*` environment variables.
     pub fn from_env() -> Self {
-        let path = |k: &str| {
-            std::env::var_os(k)
-                .filter(|v| !v.is_empty())
-                .map(PathBuf::from)
-        };
         let level = std::env::var("TPOT_LOG").ok().and_then(|v| {
             match v.trim().to_ascii_lowercase().as_str() {
                 "0" | "error" => Some(Level::Error),
@@ -174,51 +119,16 @@ impl Config {
                 _ => None,
             }
         });
-        let count = |k: &str| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n > 0)
-        };
-        let toggle = |k: &str| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| match v.trim().to_ascii_lowercase().as_str() {
-                    "0" | "false" | "off" | "no" => Some(false),
-                    "1" | "true" | "on" | "yes" => Some(true),
-                    _ => None,
-                })
-        };
         Config {
-            trace_path: path("TPOT_TRACE"),
-            spans_path: path("TPOT_SPANS"),
-            metrics_path: path("TPOT_METRICS"),
+            trace_path: env::path("TPOT_TRACE"),
+            spans_path: env::path("TPOT_SPANS"),
+            metrics_path: env::path("TPOT_METRICS"),
             log_level: level,
-            slow_query_ms: std::env::var("TPOT_SLOW_QUERY_MS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n > 0),
-            slow_query_dir: path("TPOT_SLOW_QUERY_DIR"),
+            slow_query_ms: env::number("TPOT_SLOW_QUERY_MS").filter(|&n| n > 0),
+            slow_query_dir: env::path("TPOT_SLOW_QUERY_DIR"),
             collect_spans: false,
-            pool_threads: count("TPOT_POOL_THREADS"),
-            jobs: count("TPOT_JOBS"),
-            path_jobs: count("TPOT_PATH_JOBS"),
-            steal_seed: std::env::var("TPOT_STEAL_SEED")
-                .ok()
-                .and_then(|v| v.trim().parse().ok()),
-            incremental: toggle("TPOT_INCREMENTAL"),
-            inprocess: toggle("TPOT_INPROCESS"),
-            proof: toggle("TPOT_PROOF"),
-            lbd_core: count("TPOT_LBD_CORE").map(|n| n as u32),
-            lbd_mid: count("TPOT_LBD_MID").map(|n| n as u32),
-            sat_conflict_limit: count("TPOT_SAT_CONFLICTS").map(|n| n as u64),
-            blame: toggle("TPOT_BLAME"),
-            status_path: path("TPOT_STATUS"),
-            profile_path: path("TPOT_PROFILE"),
-            cache_dir: path("TPOT_CACHE_DIR"),
-            cache_max_mb: std::env::var("TPOT_CACHE_MAX_MB")
-                .ok()
-                .and_then(|v| v.trim().parse().ok()),
+            status_path: env::path("TPOT_STATUS"),
+            profile_path: env::path("TPOT_PROFILE"),
         }
     }
 
@@ -255,63 +165,6 @@ impl Config {
     /// Forces span collection without an output path.
     pub fn collect(mut self, on: bool) -> Self {
         self.collect_spans = on;
-        self
-    }
-
-    /// Sets the solver worker-pool size.
-    pub fn pool(mut self, threads: usize) -> Self {
-        self.pool_threads = Some(threads);
-        self
-    }
-
-    /// Sets the parallel POT job count.
-    pub fn parallel_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = Some(jobs);
-        self
-    }
-
-    /// Sets the path-scheduler worker count.
-    pub fn path_workers(mut self, workers: usize) -> Self {
-        self.path_jobs = Some(workers);
-        self
-    }
-
-    /// Sets the work-stealing victim-selection seed.
-    pub fn steal_seed_value(mut self, seed: u64) -> Self {
-        self.steal_seed = Some(seed);
-        self
-    }
-
-    /// Enables or disables incremental solve sessions in the engine.
-    pub fn incremental_sessions(mut self, on: bool) -> Self {
-        self.incremental = Some(on);
-        self
-    }
-
-    /// Enables or disables SAT inprocessing (variable elimination,
-    /// subsumption, vivification).
-    pub fn inprocessing(mut self, on: bool) -> Self {
-        self.inprocess = Some(on);
-        self
-    }
-
-    /// Enables or disables DRAT proof logging in the SAT core.
-    pub fn proof_logging(mut self, on: bool) -> Self {
-        self.proof = Some(on);
-        self
-    }
-
-    /// Sets the LBD thresholds of the tiered clause database.
-    pub fn lbd_tiers(mut self, core: u32, mid: u32) -> Self {
-        self.lbd_core = Some(core);
-        self.lbd_mid = Some(mid);
-        self
-    }
-
-    /// Enables or disables proof-effort blame (provenance tags, assumption
-    /// cores, conflict participation).
-    pub fn blame_tracking(mut self, on: bool) -> Self {
-        self.blame = Some(on);
         self
     }
 

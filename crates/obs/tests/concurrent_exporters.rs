@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use tpot_obs::json::{parse, Value};
-use tpot_obs::{configure, flush, instant, span_args, take_events, trace, ObsConfig};
+use tpot_obs::{configure, flush, instant, span_args, take_events, trace, Config};
 
 fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("tpot-obs-test-{}-{name}", std::process::id()))
@@ -24,7 +24,7 @@ fn concurrent_workers_flush_and_watchdog() {
     let trace_path = tmp("trace.json");
     let spans_path = tmp("spans.jsonl");
     configure(
-        ObsConfig {
+        Config {
             collect_spans: true,
             ..Default::default()
         }
@@ -109,7 +109,7 @@ fn concurrent_workers_flush_and_watchdog() {
     let dump_dir = tmp("slow-queries");
     let _ = std::fs::remove_dir_all(&dump_dir);
     configure(
-        ObsConfig {
+        Config {
             slow_query_dir: Some(dump_dir.clone()),
             ..Default::default()
         }
@@ -138,7 +138,7 @@ fn concurrent_workers_flush_and_watchdog() {
     assert_eq!(n, 1);
 
     // Cleanup (best effort).
-    configure(ObsConfig::default());
+    configure(Config::default());
     let _ = std::fs::remove_file(&trace_path);
     let _ = std::fs::remove_file(&spans_path);
     let _ = std::fs::remove_dir_all(&dump_dir);

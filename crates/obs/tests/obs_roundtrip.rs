@@ -4,10 +4,10 @@
 //! singleton, so they are a single #[test] with phases rather than many
 //! tests racing over `configure`/`take_events`.
 
-use tpot_obs::{configure, instant, span_args, take_events, trace, ObsConfig};
+use tpot_obs::{configure, instant, span_args, take_events, trace, Config};
 
-fn tracing_cfg() -> ObsConfig {
-    ObsConfig {
+fn tracing_cfg() -> Config {
+    Config {
         collect_spans: true,
         ..Default::default()
     }
@@ -80,7 +80,7 @@ fn spans_roundtrip_and_well_formedness() {
     }
 
     // Phase 4: with tracing disabled, span sites collect nothing.
-    configure(ObsConfig::default());
+    configure(Config::default());
     {
         let _s = span_args("engine", "verify_pot", &[("pot", "p".into())]);
         instant("engine", "fork", &[]);

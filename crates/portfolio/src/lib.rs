@@ -23,7 +23,7 @@
 //!   Sat/Unsat outcomes by `(query fingerprint, solver-config digest)`. The
 //!   digest ([`solver_config_digest`], plus an engine-level salt installed
 //!   through [`Portfolio::with_config_salt`]) folds every semantically
-//!   relevant knob — inprocessing, clause-DB tiering, conflict budgets,
+//!   relevant knob — inprocessing, restart schedule, conflict budgets,
 //!   theory limits — so an outcome recorded under one solver configuration
 //!   can never answer a query issued under a different one. The cache sits
 //!   behind a `parking_lot::Mutex` so parallel POT verification shares one
@@ -68,7 +68,7 @@ pub type SharedCache = Arc<Mutex<ProofCache>>;
 /// Digest of one instance's semantically relevant configuration.
 ///
 /// Folds every knob that changes *which answers the solver can give* —
-/// inprocessing, clause-DB tiering, restart schedule, conflict and theory
+/// inprocessing, restart schedule, conflict and theory
 /// budgets, core minimization, LIA branching — and deliberately excludes
 /// pure identity/diversification state: seeds, names, sinks and cancel
 /// flags never affect a Sat/Unsat verdict (an `Unknown` is never cached),
@@ -77,8 +77,6 @@ pub type SharedCache = Arc<Mutex<ProofCache>>;
 pub fn solver_config_digest(cfg: &tpot_solver::SolverConfig) -> u64 {
     let mut h = fnv1a(b"tpot-solver-config/v1");
     h = mix(h, cfg.sat.inprocess as u64);
-    h = mix(h, cfg.sat.lbd_core as u64);
-    h = mix(h, cfg.sat.lbd_mid as u64);
     h = mix(h, cfg.sat.restart_base);
     h = mix(h, cfg.sat.conflict_limit.map_or(u64::MAX, |n| n));
     h = mix(h, cfg.sat.default_phase as u64);
@@ -386,7 +384,8 @@ pub struct Portfolio {
     /// session, a one-shot check, or a racing pool worker (the job's config
     /// carries the handle) — adds its exact counter delta here. One sink
     /// per execution shard makes per-POT/per-path attribution exact: the
-    /// sum over all sinks equals the process-wide `sat.*` counter delta.
+    /// sum over all sinks equals the process-wide `sat.*` counter delta,
+    /// and — with [`Self::set_run_sink`] — the run sink's total.
     sink: Arc<SatSink>,
     pool: Arc<WorkerPool>,
     /// Cache key half: [`portfolio_config_digest`] of the instance configs,
@@ -399,22 +398,38 @@ pub struct Portfolio {
 
 impl Portfolio {
     /// Builds a portfolio from explicit configurations.
-    pub fn new(mut configs: Vec<tpot_solver::SolverConfig>) -> Self {
+    pub fn new(configs: Vec<tpot_solver::SolverConfig>) -> Self {
         assert!(!configs.is_empty(), "portfolio needs at least one instance");
-        let sink = Arc::new(SatSink::default());
-        for cfg in &mut configs {
-            cfg.sat.sink = Some(sink.clone());
-        }
         let config_digest = portfolio_config_digest(&configs);
-        Portfolio {
+        let mut p = Portfolio {
             configs,
             cache: None,
             stats: PortfolioStats::default(),
             sessions: SessionBroker::default(),
-            sink,
+            sink: Arc::default(),
             pool: WorkerPool::global(),
             config_digest,
+        };
+        p.install_sink(Arc::new(SatSink::default()));
+        p
+    }
+
+    /// Makes every solve of this portfolio — and of its shard clones —
+    /// also count toward `run`, at solve time. A verify run passes one run
+    /// sink to all of its portfolios, so `run` ends up holding the run's
+    /// exact SAT totals even while other runs solve in the same process.
+    /// Call before the first solve: the shard sink is replaced.
+    pub fn set_run_sink(&mut self, run: Arc<SatSink>) {
+        self.install_sink(Arc::new(SatSink::forwarding_to(Some(run))));
+    }
+
+    /// Routes future solves (sessions, one-shots, raced jobs) to `sink`.
+    fn install_sink(&mut self, sink: Arc<SatSink>) {
+        self.sessions.set_sink(Some(sink.clone()));
+        for cfg in &mut self.configs {
+            cfg.sat.sink = Some(sink.clone());
         }
+        self.sink = sink;
     }
 
     /// Mixes a caller-level salt into the cache-key digest. The engine
@@ -482,24 +497,22 @@ impl Portfolio {
         let mut sessions = self.sessions.clone();
         sessions.reset_stats();
         sessions.last_unsat = None;
-        // A fresh attribution sink, installed both into the configs (future
-        // sessions, one-shots, raced jobs) and into the inherited session
-        // clones — the thief's work must land in the thief's sink.
-        let sink = Arc::new(SatSink::default());
-        sessions.set_sink(Some(sink.clone()));
-        let mut configs = self.configs.clone();
-        for cfg in &mut configs {
-            cfg.sat.sink = Some(sink.clone());
-        }
-        Portfolio {
-            configs,
+        let mut p = Portfolio {
+            configs: self.configs.clone(),
             cache: self.cache.clone(),
             stats: PortfolioStats::default(),
             sessions,
-            sink,
+            sink: Arc::default(),
             pool: Arc::clone(&self.pool),
             config_digest: self.config_digest,
-        }
+        };
+        // A fresh attribution sink (forwarding to the same run sink),
+        // installed both into the configs and into the inherited session
+        // clones — the thief's work must land in the thief's sink.
+        p.install_sink(Arc::new(SatSink::forwarding_to(
+            self.sink.parent().cloned(),
+        )));
+        p
     }
 
     /// Checks satisfiability, racing all instances; the earliest definitive

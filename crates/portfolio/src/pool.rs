@@ -4,9 +4,9 @@
 //! query — thousands of thread spawns per POT. This module replaces that
 //! with long-lived workers fed over MPMC channels: [`Portfolio`] submits one
 //! [`Job`] per racing instance and workers reply on a per-query channel.
-//! A process-wide [`WorkerPool::global`] pool (sized by `TPOT_POOL_THREADS`
-//! or the core count) is shared by every portfolio, so multi-POT parallel
-//! verification cannot oversubscribe the machine; tests can build private
+//! A process-wide [`WorkerPool::global`] pool (sized at the core count) is
+//! shared by every portfolio, so multi-POT parallel verification cannot
+//! oversubscribe the machine; tests can build private
 //! pools with [`WorkerPool::new`] for deterministic scheduling.
 //!
 //! Cancellation is cooperative and two-level: a queued job whose cancel flag
@@ -87,22 +87,15 @@ impl WorkerPool {
         })
     }
 
-    /// The process-wide shared pool. Sized by the `TPOT_POOL_THREADS` knob
-    /// (via the typed [`tpot_obs::Config`]) when set, otherwise the
-    /// available core count (minimum 2).
+    /// The process-wide shared pool, sized at the available core count
+    /// (minimum 2). It runs races and validation runs; a single-instance
+    /// check solves on the calling thread.
     pub fn global() -> Arc<WorkerPool> {
         static GLOBAL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
         GLOBAL
             .get_or_init(|| {
-                let n = tpot_obs::config()
-                    .pool_threads
-                    .unwrap_or_else(|| {
-                        std::thread::available_parallelism()
-                            .map(|n| n.get())
-                            .unwrap_or(4)
-                    })
-                    .max(2);
-                WorkerPool::new(n)
+                let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
+                WorkerPool::new(cores.max(2))
             })
             .clone()
     }

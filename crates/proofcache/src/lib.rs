@@ -113,7 +113,8 @@ pub struct ProofCache {
     pub evictions: u64,
 }
 
-/// Default LRU budget when `TPOT_CACHE_MAX_MB` is unset: 256 MiB.
+/// Default LRU budget: 256 MiB (`tpotd` overrides it from
+/// `--cache-max-mb` or `TPOT_CACHE_MAX_MB`).
 pub const DEFAULT_MAX_BYTES: u64 = 256 << 20;
 
 const Q_LINE_BYTES: u64 = 48;
@@ -127,10 +128,7 @@ impl Default for ProofCache {
             pots: HashMap::new(),
             clock: 0,
             bytes: 0,
-            max_bytes: tpot_obs::config()
-                .cache_max_mb
-                .map(|mb| mb << 20)
-                .unwrap_or(DEFAULT_MAX_BYTES),
+            max_bytes: DEFAULT_MAX_BYTES,
             dirty: false,
             hits: 0,
             misses: 0,
@@ -156,7 +154,7 @@ impl ProofCache {
         Ok(cache)
     }
 
-    /// Overrides the LRU byte budget (`TPOT_CACHE_MAX_MB` otherwise).
+    /// Overrides the LRU byte budget ([`DEFAULT_MAX_BYTES`] otherwise).
     pub fn with_max_bytes(mut self, max_bytes: u64) -> Self {
         self.max_bytes = max_bytes.max(1);
         self

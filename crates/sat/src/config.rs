@@ -24,9 +24,9 @@ pub struct SatConfig {
     /// Initial polarity for unassigned, never-flipped variables.
     pub default_phase: bool,
     /// Maximum number of conflicts before giving up (`None` = unlimited).
-    /// The portfolio uses finite budgets on speculative configurations;
-    /// `TPOT_SAT_CONFLICTS` caps the full-strength instance too (bench
-    /// ablations use it to bound divergent baselines deterministically).
+    /// The engine's `sat_conflict_limit` sets it on every instance (the
+    /// inprocessing-off ablation uses it to bound a divergent baseline
+    /// deterministically).
     pub conflict_limit: Option<u64>,
     /// Learned-clause database reduction threshold factor.
     pub learntsize_factor: f64,
@@ -35,37 +35,36 @@ pub struct SatConfig {
     /// burning CPU (the paper's portfolio kills losing Z3 processes).
     pub cancel: Option<Arc<AtomicBool>>,
     /// Inprocessing between solves: bounded variable elimination,
-    /// subsumption/self-subsumption and clause vivification
-    /// (`TPOT_INPROCESS`). Frozen variables (the bit-blaster's interface
+    /// subsumption/self-subsumption and clause vivification. Frozen variables (the bit-blaster's interface
     /// bits, activation literals, assumptions) are never eliminated, so
     /// incremental sessions stay sound.
     pub inprocess: bool,
-    /// DRAT proof logging (`TPOT_PROOF`). Every learned, strengthened and
+    /// DRAT proof logging. Every learned, strengthened and
     /// deleted clause is recorded; [`crate::Solver::check_proof`] replays
     /// the log through the independent RUP checker.
     pub proof: bool,
-    /// LBD at or below which a learned clause is *core*: never deleted by
-    /// database reduction (`TPOT_LBD_CORE`).
-    pub lbd_core: u32,
-    /// LBD at or below which a learned clause is *mid-tier*: kept while it
-    /// participates in conflicts, demoted to the local tier when idle
-    /// (`TPOT_LBD_MID`).
-    pub lbd_mid: u32,
     /// Attribution sink: every completed `solve` adds its exact counter
     /// delta here (in addition to the process-wide `sat.*` metrics). The
     /// portfolio layer installs one sink per execution shard so per-POT
     /// and per-path solver stats are exact under any scheduling.
     pub sink: Option<Arc<crate::stats::SatSink>>,
-    /// Blame tracking (`TPOT_BLAME`): count, per *tracked* variable (the
+    /// Blame tracking: count, per *tracked* variable (the
     /// session layer tracks its activation literals), how many learned
     /// clauses mention it — the conflict-participation signal behind the
     /// per-POT "top-k costly assumptions" report.
     pub blame: bool,
 }
 
+/// LBD at or below which a learned clause is *core*: never deleted by
+/// database reduction.
+pub const LBD_CORE: u32 = 2;
+
+/// LBD at or below which a learned clause is *mid-tier*: kept while it
+/// participates in conflicts, demoted to the local tier when idle.
+pub const LBD_MID: u32 = 6;
+
 impl Default for SatConfig {
     fn default() -> Self {
-        let obs = tpot_obs::config();
         SatConfig {
             var_decay: 0.95,
             clause_decay: 0.999,
@@ -73,15 +72,13 @@ impl Default for SatConfig {
             random_decision_freq: 0.02,
             seed: 0x9e3779b97f4a7c15,
             default_phase: false,
-            conflict_limit: obs.sat_conflict_limit,
+            conflict_limit: None,
             learntsize_factor: 1.0 / 3.0,
             cancel: None,
-            inprocess: obs.inprocess.unwrap_or(true),
-            proof: obs.proof.unwrap_or(false),
-            lbd_core: obs.lbd_core.unwrap_or(2),
-            lbd_mid: obs.lbd_mid.unwrap_or(6),
+            inprocess: true,
+            proof: false,
             sink: None,
-            blame: obs.blame.unwrap_or(false),
+            blame: false,
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The CDCL solver proper.
 
-use crate::config::{luby, SatConfig};
+use crate::config::{luby, SatConfig, LBD_CORE, LBD_MID};
 use crate::proof::ProofLog;
 
 /// A propositional variable, numbered from 0.
@@ -875,25 +875,23 @@ impl Solver {
 
     /// Tiered learnt-clause reduction (core/mid/local):
     ///
-    /// - **core** (LBD ≤ `lbd_core`, or binary): never deleted — low-glue
+    /// - **core** (LBD ≤ [`LBD_CORE`], or binary): never deleted — low-glue
     ///   clauses are the backbone of the learnt database;
-    /// - **mid** (LBD ≤ `lbd_mid`): kept while the clause participated in
+    /// - **mid** (LBD ≤ [`LBD_MID`]): kept while the clause participated in
     ///   conflict analysis since the previous reduction, demoted to the
     ///   local pool when idle;
     /// - **local** (everything else): activity-sorted, the colder half is
     ///   deleted every reduction.
     fn reduce_db(&mut self) {
-        let lbd_core = self.config.lbd_core;
-        let lbd_mid = self.config.lbd_mid;
         let mut cands: Vec<usize> = Vec::new();
         for (i, c) in self.clauses.iter_mut().enumerate() {
             if !c.learnt || c.lits.len() <= 2 {
                 continue;
             }
-            if c.lbd <= lbd_core {
+            if c.lbd <= LBD_CORE {
                 continue; // core: immortal
             }
-            if c.lbd <= lbd_mid && c.used {
+            if c.lbd <= LBD_MID && c.used {
                 c.used = false; // mid: survives this round, re-arm
                 continue;
             }
@@ -1096,17 +1094,17 @@ impl Solver {
         self.proof.as_deref()
     }
 
-    /// Learnt clauses per tier `(core, mid, local)` under the configured
-    /// LBD thresholds.
+    /// Learnt clauses per tier `(core, mid, local)` under the
+    /// [`LBD_CORE`]/[`LBD_MID`] thresholds.
     pub fn db_tier_counts(&self) -> (usize, usize, usize) {
         let (mut core, mut mid, mut local) = (0, 0, 0);
         for c in &self.clauses {
             if !c.learnt {
                 continue;
             }
-            if c.lbd <= self.config.lbd_core || c.lits.len() <= 2 {
+            if c.lbd <= LBD_CORE || c.lits.len() <= 2 {
                 core += 1;
-            } else if c.lbd <= self.config.lbd_mid {
+            } else if c.lbd <= LBD_MID {
                 mid += 1;
             } else {
                 local += 1;
@@ -1741,7 +1739,7 @@ mod tests {
     #[test]
     fn reduce_db_never_drops_core_clauses() {
         // Learn on a hard instance, then hammer reduce_db: every learnt
-        // clause in the core tier (LBD ≤ lbd_core, or binary) must survive
+        // clause in the core tier (LBD ≤ LBD_CORE, or binary) must survive
         // arbitrarily many reductions.
         let cfg = SatConfig {
             inprocess: false,
@@ -1767,7 +1765,7 @@ mod tests {
         let core_of = |s: &Solver| -> Vec<Vec<Lit>> {
             s.clauses
                 .iter()
-                .filter(|c| c.learnt && (c.lbd <= s.config.lbd_core || c.lits.len() <= 2))
+                .filter(|c| c.learnt && (c.lbd <= LBD_CORE || c.lits.len() <= 2))
                 .map(|c| {
                     let mut l = c.lits.clone();
                     l.sort_unstable();

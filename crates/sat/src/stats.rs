@@ -8,11 +8,13 @@
 //! (execution shard), so higher layers can attribute SAT work to the POT
 //! and path that issued it with no overlap — no matter how many contexts
 //! run concurrently. The process-wide `sat.*` metric counters keep
-//! receiving the same deltas; the invariant `sum over sinks == global
-//! delta` is what the `counter_parity` fuzz mode and the workspace's
+//! receiving the same deltas, and so does a run's parent sink, if any;
+//! the invariant `sum over a run's shard sinks == its parent sink's total`
+//! is what the `counter_parity` fuzz mode and the workspace's
 //! `harness_invariants` test check.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Snapshot of one solver instance's cumulative counters (or a delta
 /// between two snapshots — the fields are plain sums either way).
@@ -84,8 +86,14 @@ impl SolveStats {
 /// every completed `solve` adds its exact counter delta. Cloned solvers
 /// (session handoff) keep the handle until the new owner re-installs its
 /// own — the portfolio layer does exactly that on shard splits.
+///
+/// A sink may forward to a parent ([`SatSink::forwarding_to`]): every
+/// delta it receives lands in the parent too, at solve time. A verify run
+/// passes one parent to all of its shards' sinks, so the parent holds the
+/// run's exact total no matter what else the process solves concurrently.
 #[derive(Debug, Default)]
 pub struct SatSink {
+    parent: Option<Arc<SatSink>>,
     solves: AtomicU64,
     conflicts: AtomicU64,
     decisions: AtomicU64,
@@ -99,7 +107,20 @@ pub struct SatSink {
 }
 
 impl SatSink {
-    /// Accumulates one solve's delta.
+    /// An empty sink that forwards every delta it receives to `parent`.
+    pub fn forwarding_to(parent: Option<Arc<SatSink>>) -> Self {
+        SatSink {
+            parent,
+            ..SatSink::default()
+        }
+    }
+
+    /// The sink this one forwards to.
+    pub fn parent(&self) -> Option<&Arc<SatSink>> {
+        self.parent.as_ref()
+    }
+
+    /// Accumulates one solve's delta (and forwards it to the parent).
     pub fn add(&self, d: SolveStats) {
         self.solves.fetch_add(d.solves, Ordering::Relaxed);
         self.conflicts.fetch_add(d.conflicts, Ordering::Relaxed);
@@ -114,6 +135,9 @@ impl SatSink {
         self.vivified_lits
             .fetch_add(d.vivified_lits, Ordering::Relaxed);
         self.proof_lines.fetch_add(d.proof_lines, Ordering::Relaxed);
+        if let Some(parent) = &self.parent {
+            parent.add(d);
+        }
     }
 
     /// The cumulative totals received so far.
@@ -178,5 +202,24 @@ mod tests {
         let got = sink.load();
         assert_eq!(got.solves, 800);
         assert_eq!(got.conflicts, 1600);
+    }
+
+    #[test]
+    fn children_forward_to_their_parent() {
+        let run = Arc::new(SatSink::default());
+        let a = SatSink::forwarding_to(Some(run.clone()));
+        let b = SatSink::forwarding_to(a.parent().cloned());
+        let d = SolveStats {
+            solves: 1,
+            decisions: 3,
+            ..SolveStats::default()
+        };
+        a.add(d);
+        b.add(d);
+        b.add(d);
+        assert_eq!(a.load().solves, 1);
+        assert_eq!(b.load().decisions, 6);
+        assert_eq!(run.load().solves, 3);
+        assert_eq!(run.load().decisions, 9);
     }
 }

@@ -6,7 +6,9 @@
 //! records the adjudicated verdict; for sat cases the solver's model is
 //! additionally validated against every assertion with the concrete
 //! evaluator, which is exactly the check that caught the
-//! `regress00_uf_array_model` bug.
+//! `regress00_uf_array_model` bug. Every Unsat is DRAT-checked: the solver
+//! logs a proof and replays it through the independent RUP checker, and a
+//! rejected proof fails the case as a solver error.
 
 use std::fs;
 use std::path::PathBuf;
@@ -16,6 +18,13 @@ use tpot_solver::{SmtResult, SmtSolver, SolverConfig};
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
+}
+
+/// The default solver with DRAT proof logging and checking on.
+fn proof_checked_solver() -> SmtSolver {
+    let mut config = SolverConfig::default();
+    config.sat.proof = true;
+    SmtSolver::new(config)
 }
 
 fn expected_verdict(text: &str) -> &'static str {
@@ -54,7 +63,7 @@ fn corpus_verdicts_and_models() {
         let assertions =
             parse_script(&mut arena, &text).unwrap_or_else(|e| panic!("{name}: parse error: {e}"));
 
-        let solver = SmtSolver::new(SolverConfig::default());
+        let solver = proof_checked_solver();
         let result = solver
             .check(&mut arena, &assertions)
             .unwrap_or_else(|e| panic!("{name}: solver error: {e:?}"));
@@ -106,7 +115,7 @@ fn slow_corpus_now_decides() {
         let mut arena = TermArena::new();
         let assertions =
             parse_script(&mut arena, &text).unwrap_or_else(|e| panic!("{name}: parse error: {e}"));
-        let solver = SmtSolver::new(SolverConfig::default());
+        let solver = proof_checked_solver();
         let result = solver
             .check(&mut arena, &assertions)
             .unwrap_or_else(|e| panic!("{name}: solver error: {e:?}"));

@@ -294,15 +294,21 @@ fn pkvm_smoke_subset_cache_round_trip_hits_fully() {
     let t = tpot::targets::target("pkvm").unwrap();
     let opts = VerifyOptions::new()
         .pots(["spec__nr_pages", "spec__init"])
-        .jobs(1)
-        .cache_path(&path);
+        .jobs(1);
+    let verifier = || {
+        let config = EngineConfig {
+            cache_path: Some(path.clone()),
+            ..EngineConfig::default()
+        };
+        Verifier::with_config(t.module().unwrap(), config)
+    };
 
-    let cold = t.verifier().unwrap().verify(&opts);
+    let cold = verifier().verify(&opts);
     assert!(cold.iter().all(|r| r.status.is_proved()));
     let cold_misses: u64 = cold.iter().map(|r| r.stats.cache_misses).sum();
     assert!(cold_misses > 0, "cold run solves");
 
-    let warm = t.verifier().unwrap().verify(&opts);
+    let warm = verifier().verify(&opts);
     assert!(warm.iter().all(|r| r.status.is_proved()));
     let warm_misses: u64 = warm.iter().map(|r| r.stats.cache_misses).sum();
     let warm_hits: u64 = warm.iter().map(|r| r.stats.cache_hits).sum();

@@ -16,25 +16,29 @@
 //!   path counts; a migrated path re-blasts under half its inherited
 //!   prefix;
 //! - with blame on at four workers, the per-POT solver counters sum exactly
-//!   to the process-wide `sat.*` delta, some proved POT names a
-//!   provenance-tagged assumption core, and the path profile is non-empty.
+//!   to the run's total (collected by a run-level SAT sink), some proved
+//!   POT names a provenance-tagged assumption core, and the path profile
+//!   is non-empty.
+//!
+//! Each phase states its engine knobs as an `EngineConfig` value.
 //!
 //! `pkvm_fast_pots` runs with the tier-1 suite. The wider scopes are
 //! ignored for time:
 //! `cargo test --release --test harness_invariants -- --ignored <name>`.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use tpot::engine::{EngineConfig, PotResult, PotStatus, ProvKind, Stats, Verifier, VerifyOptions};
+use tpot::sat::{SatSink, SolveStats};
 use tpot_obs::metrics::counter;
-use tpot_obs::{ObsConfig, Phase};
+use tpot_obs::{Config, Phase};
 
-/// The checks switch the process-global `tpot_obs` config (span
-/// collection, inprocessing, conflict cap, blame) and read process-wide
-/// counters (`sat.*`, `sched.*`). Under the parallel test runner one
-/// test's phases would otherwise run under another's config and inflate
-/// its counter deltas, so every test holds this lock for its whole run.
+/// What is still process-global: span collection (switched through the
+/// `tpot_obs` config) and the `sched.*` handoff counters. Under the
+/// parallel test runner one test's spans and handoffs would otherwise
+/// land in another's phases, so every test holds this lock for its whole
+/// run.
 static GLOBAL_OBS: Mutex<()> = Mutex::new(());
 
 /// Expected verdict of every POT a test runs, by target name fragment.
@@ -60,17 +64,6 @@ const EXPECTED: &[(&str, &str, &str)] = &[
 /// cap, far above what any query the inprocessing solver decides needs,
 /// turns that into a reproducible give-up.
 const ABLATION_CONFLICT_CAP: u64 = 4_000_000;
-
-/// The solver counters attributed per POT, with their registry keys.
-type SatField = (&'static str, fn(&Stats) -> u64);
-const SAT_FIELDS: [SatField; 6] = [
-    ("sat.solves", |s| s.sat_solves),
-    ("sat.conflicts", |s| s.sat_conflicts),
-    ("sat.decisions", |s| s.sat_decisions),
-    ("sat.propagations", |s| s.sat_propagations),
-    ("sat.restarts", |s| s.sat_restarts),
-    ("sat.learned_clauses", |s| s.sat_learned),
-];
 
 /// What one test runs.
 struct Scope {
@@ -175,33 +168,27 @@ fn check_pkvm(scope: &Scope) {
     let _lock = exclusive();
     let module = tpot::targets::target("pkvm").unwrap().module().unwrap();
     let pots = scope.pots;
-    // Built after each `configure`: the engine config reads the obs config.
-    let verifier = |incremental| {
-        let cfg = EngineConfig {
-            incremental,
-            ..EngineConfig::default()
-        };
-        Verifier::with_config(module.clone(), cfg)
-    };
+    let verifier = |cfg: EngineConfig| Verifier::with_config(module.clone(), cfg);
+    let defaults = EngineConfig::default;
     let opts = || VerifyOptions::new().pots(pots.iter().copied());
 
     // Blame on, four workers: attribution must be exact under real
     // concurrency, not just at the sequential schedule.
-    tpot_obs::configure(ObsConfig {
-        blame: Some(true),
-        ..ObsConfig::default()
-    });
-    let before = SAT_FIELDS.map(|(k, _)| counter(k).get());
-    let blamed = verifier(true).verify(&opts().jobs(4));
+    tpot_obs::configure(Config::default());
+    let run = Arc::new(SatSink::default());
+    let blamed = verifier(EngineConfig {
+        blame: true,
+        ..defaults()
+    })
+    .verify(&opts().jobs(4).sat_sink(run.clone()));
     expect("pkvm", "blame, jobs=4", pots, &blamed);
-    for ((k, field), before) in SAT_FIELDS.iter().zip(before) {
-        let attributed: u64 = blamed.iter().map(|r| field(&r.stats)).sum();
-        assert_eq!(
-            attributed,
-            counter(k).get() - before,
-            "{k}: per-POT sum vs registry delta at jobs=4"
-        );
+    let total = run.load();
+    assert!(total.solves > 0, "the run solved nothing");
+    let mut attributed = SolveStats::default();
+    for r in &blamed {
+        attributed.add(r.stats.sat());
     }
+    assert_eq!(attributed, total, "per-POT SAT sums vs run total at jobs=4");
     assert!(
         blamed.iter().any(|r| r.status.is_proved()
             && r.blame
@@ -217,21 +204,17 @@ fn check_pkvm(scope: &Scope) {
     );
 
     // Production defaults, spans off: per-POT calls vs one call.
-    tpot_obs::configure(ObsConfig::default());
-    let (base, _) = per_pot(&verifier(true), pots);
+    let (base, _) = per_pot(&verifier(defaults()), pots);
     expect("pkvm", "verify_pot loop", pots, &base);
-    let one_call = verifier(true).verify(&opts());
+    let one_call = verifier(defaults()).verify(&opts());
     expect("pkvm", "one verify call", pots, &one_call);
     assert_same(&base, &one_call, "one verify call vs per-POT calls");
 
     // Spans on, no file sinks. Defaults otherwise, so this is also the
     // incremental, inprocessing side of the next two comparisons.
-    tpot_obs::configure(ObsConfig {
-        collect_spans: true,
-        ..ObsConfig::default()
-    });
+    tpot_obs::configure(Config::default().collect(true));
     tpot_obs::take_events();
-    let (traced, traced_s) = per_pot(&verifier(true), pots);
+    let (traced, traced_s) = per_pot(&verifier(defaults()), pots);
     let events = tpot_obs::take_events();
     expect("pkvm", "traced", pots, &traced);
     assert_same(&base, &traced, "tracing");
@@ -246,8 +229,12 @@ fn check_pkvm(scope: &Scope) {
     );
 
     // Sessions off: every query sliced and solved from scratch.
-    tpot_obs::configure(ObsConfig::default());
-    let (oneshot, _) = per_pot(&verifier(false), pots);
+    tpot_obs::configure(Config::default());
+    let oneshot_cfg = EngineConfig {
+        incremental: false,
+        ..defaults()
+    };
+    let (oneshot, _) = per_pot(&verifier(oneshot_cfg), pots);
     assert_same(&traced, &oneshot, "one-shot solving");
     expect("pkvm", "one-shot", pots, &oneshot);
     assert!(inc.session_hits > 0, "no path query reused a solve session");
@@ -261,13 +248,13 @@ fn check_pkvm(scope: &Scope) {
 
     // Inprocessing off, spans on as in the traced phase so both
     // wall-clocks carry the same tracing overhead.
-    tpot_obs::configure(ObsConfig {
-        inprocess: Some(false),
-        collect_spans: true,
+    tpot_obs::configure(Config::default().collect(true));
+    let ablation_cfg = EngineConfig {
+        inprocess: false,
         sat_conflict_limit: Some(ABLATION_CONFLICT_CAP),
-        ..ObsConfig::default()
-    });
-    let (ablation, ablation_s) = per_pot(&verifier(true), pots);
+        ..defaults()
+    };
+    let (ablation, ablation_s) = per_pot(&verifier(ablation_cfg), pots);
     tpot_obs::take_events();
     assert_eq!(ablation.len(), traced.len());
     for (a, b) in ablation.iter().zip(&traced) {
@@ -290,8 +277,8 @@ fn check_pkvm(scope: &Scope) {
     }
 
     // Work stealing: one worker is the depth-first baseline.
-    tpot_obs::configure(ObsConfig::default());
-    let v = verifier(true);
+    tpot_obs::configure(Config::default());
+    let v = verifier(defaults());
     let sequential = v.verify(&opts().jobs(1));
     expect("pkvm", "jobs=1", pots, &sequential);
     let handoff_keys = [
@@ -373,7 +360,7 @@ fn pkvm_full_set() {
     });
 
     let _lock = exclusive();
-    tpot_obs::configure(ObsConfig::default());
+    tpot_obs::configure(Config::default());
     for target in ["vigor", "page table"] {
         let v = tpot::targets::target(target).unwrap().verifier().unwrap();
         let pots = v.module.pot_names();
